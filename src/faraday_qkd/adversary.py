@@ -1,14 +1,8 @@
 """Adversary models: entangling channel attacks, impersonation, photon splitting.
 
-Register layouts used here (little-endian throughout):
-
-    general attack   A=0 B=1 C=2 D=3 E=4 F=5 E'=6 F'=7
-    one-home imp.    A=0 B=1 E=2 C=3 D=4 E'=5
-    PNS 3-photon     A=0 B=1 C=2 D=3 E1=4 E2=5 E1'=6 E2'=7
-    PNS 4-home       A1=0 A2=1 B1=2 B2=3 C=4 D=5 E1=6 E2=7 E1'=8 E2'=9
-
-The general attack entangles each travel qubit with a fresh single-qubit
-ancilla twice per trip.  The first-pass entangler distinguishes the basis
+Layouts, gates and draw counts live in ``batch.SCENARIOS``.  The general
+attack entangles each travel qubit with a fresh single-qubit ancilla twice
+per trip.  The first-pass entangler distinguishes the basis
 {|gamma>, |gamma+pi>}; the return-pass entangler uses the quarter-turn
 shifted basis {|gamma+pi/2>, |gamma+3pi/2>}.  The shift co-rotates Eve's
 analyzer with the conditional quarter-turn the travel qubit picked up at the
@@ -52,14 +46,12 @@ class GeneralAttackSpec:
     The non-disturbance condition pins the direct amplitudes (|e|=1, |f|=0),
     leaving Eve the basis angle gamma and the two ancilla overlaps
     cos x = <eps00|eps11> (first pass) and cos y = <eta00|eta11> (return
-    pass).  ``symmetric`` records that the primed ancillae reuse the same
-    overlaps; the asymmetric variant is out of scope.
+    pass).  The primed ancillae reuse the same overlaps.
     """
 
     gamma: EquatorAngle
     overlap_c_x: float
     overlap_c_y: float
-    symmetric: bool = True
 
     def __post_init__(self):
         if not isinstance(self.gamma, EquatorAngle):
@@ -207,11 +199,6 @@ def build_subspace_decomposition(alpha_tilde: float, beta_tilde: float,
     return dec
 
 
-def _normalize(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 1e-12 else v
-
-
 class EveDiscriminator:
     """Two-stage minimum-error measurement on one ancilla pair.
 
@@ -316,18 +303,30 @@ class ImpersonationReport:
     eve_consistency: float = 1.0
 
 
-def impersonation_two_homes(rng, n_rounds: int) -> ImpersonationReport:
-    """Eve splits the channel and runs complete, independent protocol
-    instances with each party using two home qubits of her own."""
-    u = rng.random((n_rounds, 12))
-    cols_a = _batch.protocol_rounds(u[:, 0:6])          # Alice <-> Eve(home E_a)
-    cols_b = _batch.protocol_rounds(u[:, 6:12])         # Eve(home E_b) <-> Bob
-    alice_odd = cols_a["k_alice_odd"]
-    bob_odd = cols_b["k_bob_odd"]
-    eve_alice_odd = cols_a["k_bob_odd"]                 # Eve plays Bob for Alice
+def _prepared_state(kind: str, **angles) -> StateVector:
+    """The scenario's register after its QFR gates, from the one definition in
+    ``batch.SCENARIOS``, built with the scalar engine."""
+    sc = _batch.SCENARIOS[kind]
+    state = product_state([equator_ket(0.0 if k == "home" else angles[k]) for k in sc.kets])
+    for control, target in sc.gates:
+        state = apply_qfr(state, control, target)
+    return state
+
+
+def _impersonation(variant: str, rng, n_rounds: int) -> ImpersonationReport:
+    kind = f"impersonate:{variant}"
+    cols = _batch.protocol_rounds(rng.random((n_rounds, _batch.SCENARIOS[kind].draws)),
+                                  {"kind": kind})
+    alice_odd = cols["k_alice_odd"]
+    bob_odd = cols["k_bob_odd"]
+    eve_alice_odd = cols["eve_guess_alice"]
     corr = np.corrcoef(alice_odd, bob_odd)[0, 1] if n_rounds > 1 else 0.0
+    consistency = 1.0
+    if variant == "one":
+        # Eve's travel outcome is pinned by the (E, A) branch parity
+        consistency = float(np.mean(cols["E'"] == (cols["E"] ^ cols["A"])))
     return ImpersonationReport(
-        variant="two",
+        variant=variant,
         rounds=n_rounds,
         detection_freq=float(np.mean(alice_odd != bob_odd)),
         eve_alice_agreement=float(np.mean(alice_odd == eve_alice_odd)),
@@ -335,7 +334,14 @@ def impersonation_two_homes(rng, n_rounds: int) -> ImpersonationReport:
         alice_odd=alice_odd,
         bob_odd=bob_odd,
         eve_alice_odd=eve_alice_odd,
+        eve_consistency=consistency,
     )
+
+
+def impersonation_two_homes(rng, n_rounds: int) -> ImpersonationReport:
+    """Eve splits the channel and runs complete, independent protocol
+    instances with each party using two home qubits of her own."""
+    return _impersonation("two", rng, n_rounds)
 
 
 def one_home_state(alpha, beta, epsilon) -> StateVector:
@@ -344,51 +350,22 @@ def one_home_state(alpha, beta, epsilon) -> StateVector:
     Eve's lone home qubit E brokers all three travel qubits: Alice's C picks
     up rotations from (A, E), Bob's D from (B, E), and Eve's own travel E'
     from (E, A)."""
-    state = product_state([equator_ket(0.0)] * 3
-                          + [equator_ket(alpha), equator_ket(beta), equator_ket(epsilon)])
-    state = apply_qfr(state, 0, 3)   # Alice on C
-    state = apply_qfr(state, 2, 3)   # Eve-as-Bob on C
-    state = apply_qfr(state, 1, 4)   # Bob on D
-    state = apply_qfr(state, 2, 4)   # Eve-as-Alice on D
-    state = apply_qfr(state, 2, 5)   # Eve rotates her own travel qubit
-    state = apply_qfr(state, 0, 5)   # Alice rotates it back
-    return state
+    return _prepared_state("impersonate:one", alpha=alpha, beta=beta, epsilon=epsilon)
 
 
 def impersonation_one_home(rng, n_rounds: int) -> ImpersonationReport:
     """Eve reuses a single home qubit against both parties."""
-    u = rng.random((n_rounds, 9))
-    cols = _batch.one_home_rounds(u)
-    alice_odd = cols["k_alice_odd"]
-    bob_odd = cols["k_bob_odd"]
-    eve_alice_odd = cols["k_eve_odd"]
-    corr = np.corrcoef(alice_odd, bob_odd)[0, 1] if n_rounds > 1 else 0.0
-    # Eve's travel outcome is pinned by the (E, A) branch parity
-    parity_ok = cols["k_eve_odd"] == (cols["bit_e_z"] ^ cols["bit_a_z"])
-    return ImpersonationReport(
-        variant="one",
-        rounds=n_rounds,
-        detection_freq=float(np.mean(alice_odd != bob_odd)),
-        eve_alice_agreement=float(np.mean(alice_odd == eve_alice_odd)),
-        alice_bob_correlation=float(corr),
-        alice_odd=alice_odd,
-        bob_odd=bob_odd,
-        eve_alice_odd=eve_alice_odd,
-        eve_consistency=float(np.mean(parity_ok)),
-    )
+    return _impersonation("one", rng, n_rounds)
 
 
 # ---------------------------------------------------------------------------
 # Photon-number-splitting attacks
 # ---------------------------------------------------------------------------
 
-PNS_THREE_PHOTON = "three-photon"
-PNS_FOUR_HOME = "four-home-qubit"
-
-_PNS_LAYOUTS = {
-    PNS_THREE_PHOTON: "A=0 B=1 C=2 D=3 E1=4 E2=5 E1'=6 E2'=7",
-    PNS_FOUR_HOME: "A1=0 A2=1 B1=2 B2=3 C=4 D=5 E1=6 E2=7 E1'=8 E2'=9",
-}
+def _pns_kind(variant: str) -> str:
+    if variant not in _batch.PNS_KINDS:
+        raise ValueError(f"unknown PNS variant {variant!r}")
+    return _batch.PNS_KINDS[variant]
 
 
 @dataclass
@@ -408,39 +385,9 @@ def pns_build(variant: str, alpha, beta) -> PnsScenario:
     outbound channel (one station's rotations only), E2 on the return channel
     (both stations).  Bob's pulse mirrors this with D, E1', E2' at beta.
     """
-    if variant == PNS_THREE_PHOTON:
-        state = product_state([equator_ket(0.0)] * 2
-                              + [equator_ket(alpha), equator_ket(beta)]
-                              + [equator_ket(alpha), equator_ket(alpha)]
-                              + [equator_ket(beta), equator_ket(beta)])
-        for t in (2, 4, 5):          # Alice rotates her whole outbound pulse
-            state = apply_qfr(state, 0, t)
-        for t in (2, 5):             # Bob rotates what reaches him (E1 stolen)
-            state = apply_qfr(state, 1, t)
-        for t in (3, 6, 7):          # Bob's outbound pulse
-            state = apply_qfr(state, 1, t)
-        for t in (3, 7):             # Alice rotates D, E2' (E1' stolen)
-            state = apply_qfr(state, 0, t)
-    elif variant == PNS_FOUR_HOME:
-        state = product_state([equator_ket(0.0)] * 4
-                              + [equator_ket(alpha), equator_ket(beta)]
-                              + [equator_ket(alpha), equator_ket(alpha)]
-                              + [equator_ket(beta), equator_ket(beta)])
-        for t in (4, 6, 7):          # both of Alice's homes act on C, E1, E2
-            state = apply_qfr(state, 0, t)
-            state = apply_qfr(state, 1, t)
-        for t in (4, 7):             # both of Bob's homes on C, E2
-            state = apply_qfr(state, 2, t)
-            state = apply_qfr(state, 3, t)
-        for t in (5, 8, 9):          # Bob's pulse: D, E1', E2'
-            state = apply_qfr(state, 2, t)
-            state = apply_qfr(state, 3, t)
-        for t in (5, 9):             # Alice's homes on D, E2'
-            state = apply_qfr(state, 0, t)
-            state = apply_qfr(state, 1, t)
-    else:
-        raise ValueError(f"unknown PNS variant {variant!r}")
-    return PnsScenario(variant, _PNS_LAYOUTS[variant], state)
+    kind = _pns_kind(variant)
+    return PnsScenario(variant, _batch.SCENARIOS[kind].layout,
+                       _prepared_state(kind, alpha=alpha, beta=beta))
 
 
 @dataclass
@@ -464,19 +411,16 @@ def pns_leakage(scenario, rng, n_rounds: int, blind: bool = False) -> PnsLeakage
     replaces Eve's measurement with a coin flip (control case).
     """
     variant = scenario.variant if isinstance(scenario, PnsScenario) else str(scenario)
-    if variant not in _PNS_LAYOUTS:
-        raise ValueError(f"unknown PNS variant {variant!r}")
-    draws = 7 if variant == PNS_THREE_PHOTON else 9
-    u = rng.random((n_rounds, draws))
+    u = rng.random((n_rounds, _batch.SCENARIOS[_pns_kind(variant)].draws))
     cols = _batch.pns_rounds(variant, u, blind=blind)
     key = cols["k_alice_odd"]
     return PnsLeakageReport(
         variant=variant,
         rounds=n_rounds,
-        eve_key_accuracy=float(np.mean(cols["eve_guess"] == key)),
+        eve_key_accuracy=float(np.mean(cols["eve_guess_alice"] == key)),
         detection_freq=float(np.mean(key != cols["k_bob_odd"])),
         trace_dist=float(np.min(cols["trace_dist"])),
         trace_dist_mean=float(np.mean(cols["trace_dist"])),
-        eve_guess=cols["eve_guess"],
+        eve_guess=cols["eve_guess_alice"],
         key_bits=key,
     )

@@ -97,12 +97,6 @@ class SecurityPoint:
 class SecurityCurve:
     points: List[SecurityPoint]
 
-    threshold_pd = THRESHOLD_PD
-    eve_optimum_pd = EVE_OPTIMUM_PD
-    collective_bound_pd = COLLECTIVE_BOUND_PD
-    bb84_pd = BB84_PD
-    pingpong_pd = PING_PONG_PD
-
     def __post_init__(self):
         pds = [p.p_d for p in self.points]
         if any(b <= a for a, b in zip(pds, pds[1:])):

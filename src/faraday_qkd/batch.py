@@ -1,22 +1,19 @@
-"""Vectorized Monte Carlo kernels.
+"""Vectorized Monte Carlo kernels: the scenario table and its one executor.
 
 Rounds are simulated in batches of shape (rounds, 2**n) with the same
 little-endian register conventions and the same per-round draw order as the
 scalar engine in :mod:`protocol`, so a batch run and a loop of
 ``protocol.run_round`` calls fed the identical uniform streams produce
-identical transcripts.  Every stochastic choice consumes exactly one uniform
-from the caller-supplied matrix ``u`` (one row per round).
+identical transcripts.
 
-Column contracts (all angles are 2*pi times the raw uniform):
-
-    none        [alpha, beta, uC, uD, uA, uB]
-    general     [alpha, beta, uC, uD, uA, uB, uEveBob, uEveAlice]
-    intercept   [alpha, beta, uLegC1, uLegC2, uLegD1, uLegD2, uC, uD, uA, uB]
-    one-home    [alpha, beta, epsilon, uC, uD, uE', uA, uB, uE]
-    pns 3-photon[alpha, beta, uC, uD, uA, uB, uEve]
-    pns 4-home  [alpha, beta, uC, uD, uA1, uA2, uB1, uB2, uEve]
+Each attack kind is one record of :data:`SCENARIOS`.  Draws follow the order
+of operations: a row of ``u`` gives the angles (2*pi times the uniform, in
+order of first use by the kets), then one uniform to each stochastic channel
+operation and readout step in turn, copy after copy.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,29 +22,11 @@ CHUNK = 2048
 _SQRT2 = np.sqrt(2.0)
 
 
-def _product(factors, b):
-    """Batched product state; factors are (2,) fixed kets or (b, 2) arrays,
-    given in register order (qubit 0 first, becoming the lowest index bit)."""
-    amps = np.ones((b, 1), dtype=np.complex128)
-    for f in factors:
-        f = np.asarray(f, dtype=np.complex128)
-        if f.ndim == 1:
-            f = np.broadcast_to(f, (b, 2))
-        amps = (f[:, :, None] * amps[:, None, :]).reshape(b, -1)
-    return amps
-
-
 def _eq_kets(theta):
     theta = np.asarray(theta, dtype=np.float64)
     out = np.empty(theta.shape + (2,), dtype=np.complex128)
     out[..., 0] = 1.0 / _SQRT2
     out[..., 1] = np.exp(1j * theta) / _SQRT2
-    return out
-
-
-def _z_kets(bits):
-    out = np.zeros(bits.shape + (2,), dtype=np.complex128)
-    out[np.arange(bits.size), bits] = 1.0
     return out
 
 
@@ -92,13 +71,6 @@ def _apply_2q(amps, q_hi, q_lo, w):
     return a.reshape(b, -1)
 
 
-def _append_ancilla(amps):
-    b, d = amps.shape
-    out = np.zeros((b, 2 * d), dtype=np.complex128)
-    out[:, :d] = amps
-    return out
-
-
 def _basis_rot(theta):
     theta = np.asarray(theta, dtype=np.float64)
     e = np.exp(1j * theta)
@@ -131,18 +103,6 @@ def _measure_equator(amps, q, theta, u):
     return bits, amps
 
 
-def _conditional_x(amps, q, mask):
-    a = _split(amps, q)
-    flipped = a[:, :, ::-1, :]
-    return np.where(mask[:, None, None, None], flipped, a).reshape(amps.shape)
-
-
-def _contract_lowest(amps, kets):
-    """Remove qubit 0 by projecting onto per-round kets (b, 2)."""
-    view = amps.reshape(amps.shape[0], -1, 2)
-    return np.einsum("bdi,bi->bd", view, kets.conj())
-
-
 def _attack_unitary(basis_angle, c):
     v = np.array([[1, 1], [np.exp(1j * basis_angle), -np.exp(1j * basis_angle)]]) / _SQRT2
     th = 2.0 * np.arccos(np.clip(c, 0.0, 1.0))
@@ -153,224 +113,251 @@ def _attack_unitary(basis_angle, c):
     return vi @ ctrl @ vi.conj().T
 
 
-def _chunks(total):
-    for lo in range(0, total, CHUNK):
-        yield lo, min(lo + CHUNK, total)
+class _Rounds:
+    """A chunk of rounds in flight: the register ``amps``, the records
+    (angles, key bits, Eve's guesses), and the unused draws."""
+
+    def __init__(self, u, attack):
+        self.draws, self.attack, self.rec = iter(u.T), attack, {}
+        # prepared: the register after the gates; every readout starts with
+        # _eq, which leaves it intact (_measure_z writes into its input)
+        self.amps = self.prepared = None
+
+    def draw(self):
+        return next(self.draws)
+
+    def eve_register(self):
+        """The register once the measured C and D, then its lowest qubits, are
+        projected onto the kets they collapsed to: Eve's qubits alone."""
+        amps = self.amps
+        for travel, angle in (("C", "alpha"), ("D", "beta")):
+            kets = _eq_kets(self.rec[angle] + np.pi * (1 - self.rec[travel]))
+            amps = np.einsum("bdi,bi->bd", amps.reshape(len(amps), -1, 2), kets.conj())
+        return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+# -- channel operations: Eve on one leg, after the gate that sent the qubit --
+
+# basis shift and entangler overlap on the legs C:A->B, C:B->A, D:B->A, D:A->B;
+# a return leg co-rotates Eve's basis with the far station's quarter-turn
+_LEGS = ((0.0, "cx"), (np.pi / 2, "cy"), (0.0, "cx"), (np.pi / 2, "cy"))
+
+
+def _intercept(run, travel, shift, overlap):
+    _, run.amps = _measure_equator(run.amps, travel, run.attack["gamma"] + shift, run.draw())
+
+
+def _entangle(run, travel, shift, overlap):
+    """Append a fresh ancilla and entangle it with the travel qubit."""
+    w = _attack_unitary(run.attack["gamma"] + shift, run.attack[overlap])
+    grown = np.concatenate([run.amps, np.zeros_like(run.amps)], axis=1)
+    run.amps = _apply_2q(grown, travel, _nq(run.amps), w)
+
+
+# -- readout steps -----------------------------------------------------------
+
+def _eq(run, q, label, angle):
+    """Measure travel qubit q in its own basis; record its odd key bit (+1 is 1)."""
+    bits, run.amps = _measure_equator(run.amps, q, run.rec[angle], run.draw())
+    run.rec[label] = 1 - bits
+
+
+def _z(run, label):
+    """Measure the lowest qubit, a home qubit, and remove it from the register;
+    record the even key bit (up is key 0)."""
+    bits, amps = _measure_z(run.amps, 0, run.draw())
+    run.rec[label] = bits
+    run.amps = amps.reshape(len(bits), -1, 2)[np.arange(len(bits)), :, bits]
+
+
+def _flip(run, q, label):
+    """Bob's step 9: NOT on his home qubit q when his odd key bit is 1."""
+    a = _split(run.amps, q)
+    run.amps = np.where((run.rec[label] == 1)[:, None, None, None],
+                        a[:, :, ::-1, :], a).reshape(run.amps.shape)
+
+
+def _povm(run):
+    """Eve's two-outcome POVM, on her (E, F) pair to guess Bob's home bit,
+    then on (E', F') to guess Alice's."""
+    b = run.amps.shape[0]
+    m = run.eve_register().reshape(b, 4, 4)           # axes: (E'F', EF)
+    # the two pairs are in a product state: take the largest row and column
+    p = np.abs(m) ** 2
+    v_ef = m[np.arange(b), np.argmax(np.sum(p, axis=2), axis=1), :]
+    v_pp = m[np.arange(b), :, np.argmax(np.sum(p, axis=1), axis=1)]
+    m_up = np.asarray(run.attack["povm_up"], dtype=np.complex128)
+    for v, label in ((v_ef, "guess_bob"), (v_pp, "guess_alice")):
+        nrm = np.einsum("bi,bi->b", v.conj(), v).real
+        p_up = np.clip(np.einsum("bi,ij,bj->b", v.conj(), m_up, v).real / nrm, 0.0, 1.0)
+        run.rec[label] = (run.draw() >= p_up).astype(np.int64)
+
+
+def _helstrom(run, q_c):
+    """Eve's Helstrom measurement on her four stolen photons (the top qubits)
+    between her states given the shared odd key bit.  C is qubit q_c of the
+    prepared register and D is q_c + 1, above the homes, which are dropped."""
+    rec, b = run.rec, run.amps.shape[0]
+    # the conditional states: rotate C and D of the prepared register into
+    # their measurement frames and slice the sectors
+    va, vb = _basis_rot(rec["alpha"]), _basis_rot(rec["beta"])
+    rot = _apply_1q(run.prepared, q_c, np.conj(np.swapaxes(va, -1, -2)))
+    rot = _apply_1q(rot, q_c + 1, np.conj(np.swapaxes(vb, -1, -2)))
+    view = rot.reshape(b, 16, 2, 2, 1 << q_c)         # (eve, D, C, homes)
+    rho = []
+    for bit in (0, 1):                                 # bit 0 <=> key 1
+        blk = view[:, :, bit, bit, :]
+        r = np.einsum("beh,bfh->bef", blk, blk.conj())
+        tr = np.einsum("bee->b", r).real
+        rho.append(r / tr[:, None, None])
+    vals, vecs = np.linalg.eigh(rho[0] - rho[1])       # rho_{K=1} - rho_{K=0}
+    rec["trace_dist"] = 0.5 * np.sum(np.abs(vals), axis=1)
+
+    if run.attack.get("blind"):
+        p1 = np.full(b, 0.5)
+    else:
+        proj = np.einsum("bjk,bj->bk", vecs.conj(), run.eve_register())
+        p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
+    rec["guess"] = (run.draw() < p1).astype(np.int64)
+
+
+# -- the scenario table --------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scenario:
+    """One attack kind as data.
+
+    ``layout``: the register.  ``kets``: each qubit's equator ket, ``"home"``
+    (angle 0) or a drawn angle.  ``gates``: QFR (control, target) pairs; with
+    a ``channel`` operation, gate i sends its target down leg i of ``_LEGS``.
+    ``readout``: ``(step, *args)`` steps, which record key bits and guesses.
+    ``roles``: the records behind the public alpha, beta, C, D, A, B columns;
+    ``eve``: those of Eve's guesses of Alice's and Bob's keys.  A round runs
+    ``copies`` instances; copy i's records get the suffix i.
+    """
+
+    draws: int
+    layout: str
+    kets: tuple
+    gates: tuple
+    readout: tuple
+    channel: object = None
+    roles: tuple = ("alpha", "beta", "C", "D", "A", "B")
+    eve: tuple = (None, None)
+    even_key: bool = True
+    copies: int = 1
+
+
+_NONE = Scenario(
+    draws=6, layout="A=0 B=1 C=2 D=3", kets=("home", "home", "alpha", "beta"),
+    gates=((0, 2), (1, 2), (1, 3), (0, 3)),                 # steps 3, 4, 6, 7
+    readout=((_eq, 2, "C", "alpha"), (_eq, 3, "D", "beta"), (_flip, 1, "D"),
+             (_z, "A"), (_z, "B")))
+
+# PNS pulses carry two extra photons: Eve takes E1 on the outbound and E2 on
+# the return channel, so E1 misses the far station's rotations
+_PULSE_KETS = ("alpha", "beta", "alpha", "alpha", "beta", "beta")
+
+SCENARIOS = {
+    "none": _NONE,
+    "general": replace(_NONE, draws=8, layout="A=0 B=1 C=2 D=3 E=4 F=5 E'=6 F'=7",
+                       readout=_NONE.readout + ((_povm,),), channel=_entangle,
+                       eve=("guess_alice", "guess_bob")),
+    "intercept": replace(_NONE, draws=10, channel=_intercept),
+    # Eve's lone home E brokers all three travel qubits: C picks up rotations
+    # from (A, E), D from (B, E) and her own travel E' from (E, A)
+    "impersonate:one": Scenario(
+        draws=9, layout="A=0 B=1 E=2 C=3 D=4 E'=5",
+        kets=("home", "home", "home", "alpha", "beta", "epsilon"),
+        gates=((0, 3), (2, 3), (1, 4), (2, 4), (2, 5), (0, 5)),
+        readout=((_eq, 3, "C", "alpha"), (_eq, 4, "D", "beta"), (_eq, 5, "E'", "epsilon"),
+                 (_flip, 1, "D"), (_z, "A"), (_z, "B"), (_z, "E")),
+        eve=("E'", "E'")),
+    # Eve runs a full protocol with each party (copy 0 with Alice, 1 with Bob)
+    "impersonate:two": replace(_NONE, draws=12, copies=2,
+                               roles=("alpha0", "beta1", "C0", "D1", "A0", "B1"),
+                               eve=("D0", "C1")),
+    "pns:3": Scenario(
+        draws=7, layout="A=0 B=1 C=2 D=3 E1=4 E2=5 E1'=6 E2'=7",
+        kets=("home", "home") + _PULSE_KETS,
+        gates=((0, 2), (0, 4), (0, 5), (1, 2), (1, 5),
+               (1, 3), (1, 6), (1, 7), (0, 3), (0, 7)),
+        readout=((_eq, 2, "C", "alpha"), (_eq, 3, "D", "beta"), (_flip, 1, "D"),
+                 (_z, "A"), (_z, "B"), (_helstrom, 2)),
+        eve=("guess", "guess")),
+    "pns:4home": Scenario(
+        draws=9, layout="A1=0 A2=1 B1=2 B2=3 C=4 D=5 E1=6 E2=7 E1'=8 E2'=9",
+        kets=("home",) * 4 + _PULSE_KETS,
+        gates=((0, 4), (1, 4), (0, 6), (1, 6), (0, 7), (1, 7),
+               (2, 4), (3, 4), (2, 7), (3, 7),
+               (2, 5), (3, 5), (2, 8), (3, 8), (2, 9), (3, 9),
+               (0, 5), (1, 5), (0, 9), (1, 9)),
+        readout=((_eq, 4, "C", "alpha"), (_eq, 5, "D", "beta"), (_z, "A1"),
+                 (_z, "A2"), (_z, "B1"), (_z, "B2"), (_helstrom, 4)),
+        roles=("alpha", "beta", "C", "D", "A1", "B1"), eve=("guess", "guess"),
+        even_key=False),
+}
+
+
+def _run(sc, u, attack):
+    run = _Rounds(u, attack)
+    for name in dict.fromkeys(k for k in sc.kets if k != "home"):
+        run.rec[name] = 2.0 * np.pi * run.draw()
+    b = u.shape[0]
+    run.amps = np.ones((b, 1), dtype=np.complex128)
+    for k in sc.kets:                                   # qubit 0 first, the lowest index bit
+        f = _eq_kets(np.zeros(b) if k == "home" else run.rec[k])
+        run.amps = (f[:, :, None] * run.amps[:, None, :]).reshape(b, -1)
+    for leg, (c, t) in enumerate(sc.gates):
+        run.amps = _apply_qfr(run.amps, c, t)
+        if sc.channel:
+            sc.channel(run, t, *_LEGS[leg])
+    run.prepared = run.amps
+    for step, *args in sc.readout:
+        step(run, *args)
+    if next(run.draws, None) is not None:
+        raise RuntimeError("the scenario's operations left draws unused")
+    return run.rec
+
+
+def _public(sc, rec):
+    """Measured key bits and guesses to the public columns."""
+    alpha, beta, c, d, a, b = (rec[k] for k in sc.roles)
+    eve_a, eve_b = (rec[k] if k else -np.ones_like(c) for k in sc.eve)
+    return {**rec, "alpha": alpha, "beta": beta,
+            "out_c": 2 * c - 1, "out_d": 2 * d - 1, "out_a": 1 - 2 * a, "out_b": 1 - 2 * b,
+            "k_alice_odd": c, "k_bob_odd": d,
+            "k_alice_even": a if sc.even_key else -np.ones_like(a),
+            "k_bob_even": b if sc.even_key else -np.ones_like(b),
+            "eve_guess_alice": eve_a, "eve_guess_bob": eve_b}
 
 
 def protocol_rounds(u, attack=None):
-    """Run baseline/general/intercept protocol rounds; one row of ``u`` each."""
-    kind = attack["kind"] if attack else "none"
-    b_total = u.shape[0]
-    cols = {k: np.empty(b_total, dtype=np.int64)
-            for k in ("bit_c", "bit_d", "bit_a", "bit_b",
-                      "eve_guess_alice", "eve_guess_bob")}
-    cols["alpha"] = 2.0 * np.pi * u[:, 0]
-    cols["beta"] = 2.0 * np.pi * u[:, 1]
-    if kind == "general":
-        w_first = _attack_unitary(attack["gamma"], attack["cx"])
-        w_return = _attack_unitary(attack["gamma"] + np.pi / 2, attack["cy"])
-        m_up = np.asarray(attack["povm_up"], dtype=np.complex128)
-
-    for lo, hi in _chunks(b_total):
-        uc = u[lo:hi]
-        alpha, beta = cols["alpha"][lo:hi], cols["beta"][lo:hi]
-        amps = _product([_eq_kets(0.0), _eq_kets(0.0), _eq_kets(alpha), _eq_kets(beta)], hi - lo)
-        if kind == "intercept":
-            g = attack["gamma"]
-            amps = _apply_qfr(amps, 0, 2)
-            _, amps = _measure_equator(amps, 2, g, uc[:, 2])
-            amps = _apply_qfr(amps, 1, 2)
-            _, amps = _measure_equator(amps, 2, g + np.pi / 2, uc[:, 3])
-            amps = _apply_qfr(amps, 1, 3)
-            _, amps = _measure_equator(amps, 3, g, uc[:, 4])
-            amps = _apply_qfr(amps, 0, 3)
-            _, amps = _measure_equator(amps, 3, g + np.pi / 2, uc[:, 5])
-            mcols = uc[:, 6:10]
-        elif kind == "general":
-            amps = _apply_qfr(amps, 0, 2)
-            amps = _apply_2q(_append_ancilla(amps), 2, 4, w_first)      # E
-            amps = _apply_qfr(amps, 1, 2)
-            amps = _apply_2q(_append_ancilla(amps), 2, 5, w_return)     # F
-            amps = _apply_qfr(amps, 1, 3)
-            amps = _apply_2q(_append_ancilla(amps), 3, 6, w_first)      # E'
-            amps = _apply_qfr(amps, 0, 3)
-            amps = _apply_2q(_append_ancilla(amps), 3, 7, w_return)     # F'
-            mcols = uc[:, 2:6]
-        else:
-            amps = _apply_qfr(amps, 0, 2)
-            amps = _apply_qfr(amps, 1, 2)
-            amps = _apply_qfr(amps, 1, 3)
-            amps = _apply_qfr(amps, 0, 3)
-            mcols = uc[:, 2:6]
-
-        bit_c, amps = _measure_equator(amps, 2, alpha, mcols[:, 0])
-        bit_d, amps = _measure_equator(amps, 3, beta, mcols[:, 1])
-        amps = _conditional_x(amps, 1, bit_d == 0)        # Bob's step 9 (K=1 <=> bit 0)
-        bit_a, amps = _measure_z(amps, 0, mcols[:, 2])
-        bit_b, amps = _measure_z(amps, 1, mcols[:, 3])
-
-        guess_a = np.full(hi - lo, -1, dtype=np.int64)
-        guess_b = np.full(hi - lo, -1, dtype=np.int64)
-        if kind == "general":
-            # strip the collapsed A, B, C, D (ascending, so always qubit 0)
-            for kets in (_z_kets(bit_a), _z_kets(bit_b),
-                         _eq_kets(alpha + np.pi * bit_c),
-                         _eq_kets(beta + np.pi * bit_d)):
-                amps = _contract_lowest(amps, kets)
-            amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-            m = amps.reshape(hi - lo, 4, 4)               # axes: (E'F', EF)
-            rows = np.argmax(np.sum(np.abs(m) ** 2, axis=2), axis=1)
-            v_ef = m[np.arange(hi - lo), rows, :]
-            lcol = np.argmax(np.sum(np.abs(m) ** 2, axis=1), axis=1)
-            v_pp = m[np.arange(hi - lo), :, lcol]
-            for v, ucol, out in ((v_ef, uc[:, 6], guess_b), (v_pp, uc[:, 7], guess_a)):
-                nrm = np.einsum("bi,bi->b", v.conj(), v).real
-                p_up = np.clip(np.einsum("bi,ij,bj->b", v.conj(), m_up, v).real / nrm, 0.0, 1.0)
-                out[:] = (ucol >= p_up).astype(np.int64)
-
-        for name, arr in (("bit_c", bit_c), ("bit_d", bit_d), ("bit_a", bit_a),
-                          ("bit_b", bit_b), ("eve_guess_alice", guess_a),
-                          ("eve_guess_bob", guess_b)):
-            cols[name][lo:hi] = arr
-
-    cols["out_c"] = 1 - 2 * cols["bit_c"]
-    cols["out_d"] = 1 - 2 * cols["bit_d"]
-    cols["out_a"] = 1 - 2 * cols["bit_a"]
-    cols["out_b"] = 1 - 2 * cols["bit_b"]
-    cols["k_alice_odd"] = 1 - cols["bit_c"]
-    cols["k_bob_odd"] = 1 - cols["bit_d"]
-    cols["k_alice_even"] = cols["bit_a"]
-    cols["k_bob_even"] = cols["bit_b"]
-    return cols
+    """Run rounds of the scenario ``attack["kind"]`` (default ``"none"``), one
+    row of ``u`` each; the attack's parameters come from the same dict
+    (``gamma``; ``cx``, ``cy`` and ``povm_up`` for ``general``; ``blind`` for
+    PNS).  Returns the public columns and every readout record."""
+    attack = attack or {"kind": "none"}
+    sc = SCENARIOS[attack["kind"]]
+    if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
+        raise ValueError(f"{attack['kind']} needs rounds of {sc.draws} draws, got shape {u.shape}")
+    rows = u.reshape(-1, sc.draws // sc.copies)          # copies run as consecutive rows
+    chunks = [_run(sc, rows[lo:lo + CHUNK], attack) for lo in range(0, len(rows), CHUNK)]
+    rec = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    if sc.copies > 1:
+        rec = {f"{name}{i}": arr.reshape(-1, sc.copies)[:, i]
+               for name, arr in rec.items() for i in range(sc.copies)}
+    return _public(sc, rec)
 
 
 def one_home_rounds(u):
-    """Single-home impersonation; registers A=0 B=1 E=2 C=3 D=4 E'=5."""
-    b_total = u.shape[0]
-    out = {}
-    alpha = 2.0 * np.pi * u[:, 0]
-    beta = 2.0 * np.pi * u[:, 1]
-    eps = 2.0 * np.pi * u[:, 2]
-    names = ("bit_c", "bit_d", "bit_ep", "bit_a_z", "bit_b_z", "bit_e_z")
-    for k in names:
-        out[k] = np.empty(b_total, dtype=np.int64)
-    for lo, hi in _chunks(b_total):
-        uc = u[lo:hi]
-        a, bb, ee = alpha[lo:hi], beta[lo:hi], eps[lo:hi]
-        amps = _product([_eq_kets(0.0)] * 3 + [_eq_kets(a), _eq_kets(bb), _eq_kets(ee)], hi - lo)
-        for c, t in ((0, 3), (2, 3), (1, 4), (2, 4), (2, 5), (0, 5)):
-            amps = _apply_qfr(amps, c, t)
-        bit_c, amps = _measure_equator(amps, 3, a, uc[:, 3])
-        bit_d, amps = _measure_equator(amps, 4, bb, uc[:, 4])
-        bit_ep, amps = _measure_equator(amps, 5, ee, uc[:, 5])
-        amps = _conditional_x(amps, 1, bit_d == 0)      # Bob's step 9
-        bit_a, amps = _measure_z(amps, 0, uc[:, 6])
-        bit_b, amps = _measure_z(amps, 1, uc[:, 7])
-        bit_e, amps = _measure_z(amps, 2, uc[:, 8])
-        for k, arr in zip(names, (bit_c, bit_d, bit_ep, bit_a, bit_b, bit_e)):
-            out[k][lo:hi] = arr
-    out["alpha"], out["beta"], out["epsilon"] = alpha, beta, eps
-    out["k_alice_odd"] = 1 - out["bit_c"]
-    out["k_bob_odd"] = 1 - out["bit_d"]
-    out["k_eve_odd"] = 1 - out["bit_ep"]
-    out["k_alice_even"] = out["bit_a_z"]
-    out["k_bob_even"] = out["bit_b_z"]
-    out["out_c"] = 1 - 2 * out["bit_c"]
-    out["out_d"] = 1 - 2 * out["bit_d"]
-    out["out_a"] = 1 - 2 * out["bit_a_z"]
-    out["out_b"] = 1 - 2 * out["bit_b_z"]
-    return out
-
-
-def _pns_gates(variant):
-    if variant == "three-photon":
-        return [(0, 2), (0, 4), (0, 5), (1, 2), (1, 5),
-                (1, 3), (1, 6), (1, 7), (0, 3), (0, 7)], 2, 3
-    return [(0, 4), (1, 4), (0, 6), (1, 6), (0, 7), (1, 7),
-            (2, 4), (3, 4), (2, 7), (3, 7),
-            (2, 5), (3, 5), (2, 8), (3, 8), (2, 9), (3, 9),
-            (0, 5), (1, 5), (0, 9), (1, 9)], 4, 5
+    """Single-home impersonation rounds."""
+    return protocol_rounds(u, {"kind": "impersonate:one"})
 
 
 def pns_rounds(variant, u, blind=False):
-    """Photon-splitting rounds; Eve measures her four stolen photons with the
-    per-round Helstrom measurement between the two key-conditional states."""
-    gates, q_c, q_d = _pns_gates(variant)
-    n_homes = q_c  # home qubits occupy 0..q_c-1
-    b_total = u.shape[0]
-    cols = {k: np.empty(b_total, dtype=np.int64)
-            for k in ("bit_c", "bit_d", "eve_guess")}
-    cols["trace_dist"] = np.empty(b_total, dtype=np.float64)
-    home_bits = np.empty((b_total, n_homes), dtype=np.int64)
-    alpha = 2.0 * np.pi * u[:, 0]
-    beta = 2.0 * np.pi * u[:, 1]
+    """Photon-splitting rounds; ``blind=True`` makes Eve's guess a coin flip."""
+    return protocol_rounds(u, {"kind": PNS_KINDS[variant], "blind": blind})
 
-    for lo, hi in _chunks(b_total):
-        b = hi - lo
-        uc = u[lo:hi]
-        a, bb = alpha[lo:hi], beta[lo:hi]
-        if variant == "three-photon":
-            factors = ([_eq_kets(0.0)] * 2 + [_eq_kets(a), _eq_kets(bb)]
-                       + [_eq_kets(a), _eq_kets(a), _eq_kets(bb), _eq_kets(bb)])
-        else:
-            factors = ([_eq_kets(0.0)] * 4 + [_eq_kets(a), _eq_kets(bb)]
-                       + [_eq_kets(a), _eq_kets(a), _eq_kets(bb), _eq_kets(bb)])
-        amps = _product(factors, b)
-        for c, t in gates:
-            amps = _apply_qfr(amps, c, t)
 
-        # conditional states of Eve's photons given the shared odd key bit:
-        # rotate C and D into their measurement frames and slice the sectors
-        va, vb = _basis_rot(a), _basis_rot(bb)
-        rot = _apply_1q(amps.copy(), q_c, np.conj(np.swapaxes(va, -1, -2)))
-        rot = _apply_1q(rot, q_d, np.conj(np.swapaxes(vb, -1, -2)))
-        dim_h = 1 << n_homes
-        view = rot.reshape(b, 16, 2, 2, dim_h)            # (eve, D, C, homes)
-        rho = []
-        for bit in (0, 1):                                 # bit 0 <=> key 1
-            blk = view[:, :, bit, bit, :]
-            r = np.einsum("beh,bfh->bef", blk, blk.conj())
-            tr = np.einsum("bee->b", r).real
-            rho.append(r / tr[:, None, None])
-        delta = rho[0] - rho[1]                            # rho_{K=1} - rho_{K=0}
-        vals, vecs = np.linalg.eigh(delta)
-        cols["trace_dist"][lo:hi] = 0.5 * np.sum(np.abs(vals), axis=1)
-
-        bit_c, amps = _measure_equator(amps, q_c, a, uc[:, 2])
-        bit_d, amps = _measure_equator(amps, q_d, bb, uc[:, 3])
-        if variant == "three-photon":
-            amps = _conditional_x(amps, 1, bit_d == 0)     # Bob's step 9
-        for h in range(n_homes):
-            hb, amps = _measure_z(amps, 0, uc[:, 4 + h])   # qubit 0 shifts down each contraction
-            home_bits[lo:hi, h] = hb
-            amps = _contract_lowest(amps, _z_kets(hb))
-        amps = _contract_lowest(amps, _eq_kets(a + np.pi * bit_c))
-        amps = _contract_lowest(amps, _eq_kets(bb + np.pi * bit_d))
-        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-
-        if blind:
-            p1 = np.full(b, 0.5)
-        else:
-            proj = np.einsum("bjk,bj->bk", vecs.conj(), amps)
-            p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
-        cols["eve_guess"][lo:hi] = (uc[:, 4 + n_homes] < p1).astype(np.int64)
-        cols["bit_c"][lo:hi] = bit_c
-        cols["bit_d"][lo:hi] = bit_d
-
-    cols["alpha"], cols["beta"] = alpha, beta
-    cols["k_alice_odd"] = 1 - cols["bit_c"]
-    cols["k_bob_odd"] = 1 - cols["bit_d"]
-    cols["out_c"] = 1 - 2 * cols["bit_c"]
-    cols["out_d"] = 1 - 2 * cols["bit_d"]
-    if variant == "three-photon":
-        cols["out_a"] = 1 - 2 * home_bits[:, 0]
-        cols["out_b"] = 1 - 2 * home_bits[:, 1]
-        cols["k_alice_even"] = home_bits[:, 0]
-        cols["k_bob_even"] = home_bits[:, 1]
-    else:
-        cols["out_a"] = 1 - 2 * home_bits[:, 0]
-        cols["out_b"] = 1 - 2 * home_bits[:, 2]
-        cols["k_alice_even"] = np.full(b_total, -1, dtype=np.int64)
-        cols["k_bob_even"] = np.full(b_total, -1, dtype=np.int64)
-    return cols
+PNS_KINDS = {"three-photon": "pns:3", "four-home-qubit": "pns:4home"}

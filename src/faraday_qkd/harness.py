@@ -1,9 +1,10 @@
 """CLI, configuration, seeded Monte Carlo orchestration, and CSV emission.
 
 Randomness contract: round r of an experiment draws from the counter-based
-stream ``Philox(key=(master_seed, r))``, consumed in the per-scenario column
-order documented in :mod:`batch`; the verification sampler owns the reserved
-stream ``Philox(key=(master_seed, 2**64 - 1))``.  Results are therefore
+stream ``Philox(key=(master_seed, r))`` the number of uniforms its scenario in
+``batch.SCENARIOS`` declares, taken by the scenario's operations in order;
+the verification sampler owns the reserved stream
+``Philox(key=(master_seed, 2**64 - 1))``.  Results are therefore
 independent of chunking and worker count, and CSV output is byte-identical
 for any ``--workers`` value.
 
@@ -24,16 +25,12 @@ import numpy as np
 from . import analysis, batch
 from .adversary import EveDiscriminator, GeneralAttackSpec
 from .protocol import sample_test_rounds
-from .qstate import EquatorAngle
 
 CHUNK_ROUNDS = 8192
 VERIFY_STREAM_KEY = 2 ** 64 - 1
 
 ATTACK_KINDS = ("none", "general", "intercept", "impersonate:one",
                 "impersonate:two", "pns:3", "pns:4home")
-
-_DRAWS = {"none": 6, "general": 8, "intercept": 10, "impersonate:one": 9,
-          "impersonate:two": 12, "pns:3": 7, "pns:4home": 9}
 
 CSV_COLUMNS = ("round", "alpha", "beta", "out_c", "out_d", "out_a", "out_b",
                "k_alice_odd", "k_alice_even", "k_bob_odd", "k_bob_even",
@@ -52,6 +49,16 @@ class AttackChoice:
     gamma: float = 0.0
 
 
+def _finite(texts, what: str) -> list:
+    try:
+        values = [float(t) for t in texts]
+    except ValueError as exc:
+        raise CliError(f"bad {what}: {exc}") from exc
+    if not all(np.isfinite(values)):
+        raise CliError(f"{what} must be finite")
+    return values
+
+
 def parse_attack(text: str) -> AttackChoice:
     """Parse an attack spec string, e.g. 'general:0.5,0.5,0.7' or 'pns:3'."""
     text = text.strip()
@@ -61,18 +68,12 @@ def parse_attack(text: str) -> AttackChoice:
         parts = text[len("general:"):].split(",")
         if len(parts) != 3:
             raise CliError("general attack needs cx,cy,gamma")
-        try:
-            cx, cy, g = (float(p) for p in parts)
-        except ValueError as exc:
-            raise CliError(f"bad general attack parameters: {exc}") from exc
+        cx, cy, g = _finite(parts, "general attack parameters")
         if not (0 <= cx <= 1 and 0 <= cy <= 1):
             raise CliError("attack overlaps must lie in [0, 1]")
         return AttackChoice("general", cx, cy, g)
     if text.startswith("intercept:"):
-        try:
-            g = float(text[len("intercept:"):])
-        except ValueError as exc:
-            raise CliError(f"bad intercept angle: {exc}") from exc
+        (g,) = _finite([text[len("intercept:"):]], "intercept angle")
         return AttackChoice("intercept", gamma=g)
     if text in ("impersonate:one", "impersonate:two", "pns:3", "pns:4home"):
         return AttackChoice(text)
@@ -149,45 +150,14 @@ def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.n
 
 def _run_chunk(args):
     attack, master_seed, start, count = args
-    u = round_uniforms(master_seed, start, count, _DRAWS[attack.kind])
-    if attack.kind in ("none", "general", "intercept"):
-        params = None
-        if attack.kind == "general":
-            spec = GeneralAttackSpec(EquatorAngle(attack.gamma), attack.c_x, attack.c_y)
-            params = {"kind": "general", "gamma": attack.gamma, "cx": attack.c_x,
-                      "cy": attack.c_y, "povm_up": EveDiscriminator(spec).m_up}
-        elif attack.kind == "intercept":
-            params = {"kind": "intercept", "gamma": attack.gamma}
-        cols = batch.protocol_rounds(u, params)
-        eve_alice = cols["eve_guess_alice"]
-        eve_bob = cols["eve_guess_bob"]
-    elif attack.kind == "impersonate:two":
-        cols_a = batch.protocol_rounds(u[:, 0:6])
-        cols_b = batch.protocol_rounds(u[:, 6:12])
-        cols = {
-            "alpha": cols_a["alpha"], "beta": cols_b["beta"],
-            "out_c": cols_a["out_c"], "out_d": cols_b["out_d"],
-            "out_a": cols_a["out_a"], "out_b": cols_b["out_b"],
-            "k_alice_odd": cols_a["k_alice_odd"], "k_alice_even": cols_a["k_alice_even"],
-            "k_bob_odd": cols_b["k_bob_odd"], "k_bob_even": cols_b["k_bob_even"],
-        }
-        eve_alice = cols_a["k_bob_odd"]          # Eve's key on the Alice link
-        eve_bob = cols_b["k_alice_odd"]          # Eve's key on the Bob link
-    elif attack.kind == "impersonate:one":
-        cols = batch.one_home_rounds(u)
-        eve_alice = cols["k_eve_odd"]
-        eve_bob = cols["k_eve_odd"]
-    else:
-        variant = "three-photon" if attack.kind == "pns:3" else "four-home-qubit"
-        cols = batch.pns_rounds(variant, u)
-        eve_alice = cols["eve_guess"]
-        eve_bob = cols["eve_guess"]
-    core = {k: cols[k] for k in ("alpha", "beta", "out_c", "out_d", "out_a", "out_b",
-                                 "k_alice_odd", "k_alice_even", "k_bob_odd", "k_bob_even")}
-    core["eve_bit_alice"] = np.asarray(eve_alice, dtype=np.int64)
-    core["eve_bit_bob"] = np.asarray(eve_bob, dtype=np.int64)
-    if "trace_dist" in cols:
-        core["trace_dist"] = cols["trace_dist"]
+    u = round_uniforms(master_seed, start, count, batch.SCENARIOS[attack.kind].draws)
+    params = {"kind": attack.kind, "gamma": attack.gamma, "cx": attack.c_x, "cy": attack.c_y}
+    if attack.kind == "general":
+        spec = GeneralAttackSpec(attack.gamma, attack.c_x, attack.c_y)
+        params["povm_up"] = EveDiscriminator(spec).m_up
+    cols = batch.protocol_rounds(u, params)
+    core = {k: cols[k] for k in CSV_COLUMNS[1:11] + ("trace_dist",) if k in cols}
+    core.update(eve_bit_alice=cols["eve_guess_alice"], eve_bit_bob=cols["eve_guess_bob"])
     return start, core
 
 
@@ -273,9 +243,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             for e in (0, 1):
                 table[a, e] = np.sum((cols["k_alice_even"] == a) & (cols["eve_bit_alice"] == e))
         i_ae = analysis.empirical_mutual_information(table)
-    elif kind in ("impersonate:one", "impersonate:two"):
-        eve_acc = float(np.mean(cols["eve_bit_alice"] == cols["k_alice_odd"]))
-    elif kind.startswith("pns"):
+    elif kind.startswith(("impersonate", "pns")):
         eve_acc = float(np.mean(cols["eve_bit_alice"] == cols["k_alice_odd"]))
 
     table_ab = np.zeros((2, 2))
@@ -435,8 +403,7 @@ def _config_from_args(args) -> ExperimentConfig:
         raise CliError("seed not given (flag --seed or config)")
     attack = parse_attack(pick(args.attack, "attack", str, "none"))
     out = pick(args.out, "out", str, None)
-    workers = _resolve_workers(args.workers if args.workers is not None
-                               else base.get("workers"))
+    workers = _resolve_workers(pick(args.workers, "workers", int))
     return ExperimentConfig(rounds=rounds, test_bits=test_bits, master_seed=seed,
                             attack=attack, output_path=out, workers=workers)
 

@@ -34,15 +34,8 @@ class EquatorAngle:
         """Antipodal angle: phi + pi."""
         return EquatorAngle(self.value + np.pi)
 
-    def shifted(self, delta: float) -> "EquatorAngle":
-        return EquatorAngle(self.value + float(delta))
-
     def __float__(self) -> float:
         return self.value
-
-
-def _angle(phi) -> float:
-    return float(phi)
 
 
 @dataclass
@@ -72,24 +65,18 @@ class StateVector:
 
 def equator_ket(phi) -> np.ndarray:
     """2-vector (|up> + e^{i phi}|down>)/sqrt(2)."""
-    return np.array([1.0, np.exp(1j * _angle(phi))]) / _SQRT2
+    return np.array([1.0, np.exp(1j * float(phi))]) / _SQRT2
 
 
 def basis_rotation(phi) -> np.ndarray:
     """Unitary sending |0> -> |phi>, |1> -> |phi+pi>."""
-    e = np.exp(1j * _angle(phi))
+    e = np.exp(1j * float(phi))
     return np.array([[1.0, 1.0], [e, -e]]) / _SQRT2
 
 
 def make_equator_state(phi) -> StateVector:
     """Single-qubit state on the equator at azimuthal angle phi."""
     return StateVector(1, equator_ket(phi))
-
-
-def make_z_state(bit: int) -> StateVector:
-    amp = np.zeros(2, dtype=np.complex128)
-    amp[bit] = 1.0
-    return StateVector(1, amp)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

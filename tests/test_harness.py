@@ -1,5 +1,6 @@
 """Harness: attack parsing, config files, CSV, determinism, CLI, and the
 scalar-versus-vectorized engine equivalence."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,7 +41,8 @@ class TestAttackParsing:
             assert parse_attack(kind).kind == kind
 
     def test_bad_specs_rejected(self):
-        for bad in ("?", "general:0.5", "general:2,0,0", "intercept:x", "pns:5"):
+        for bad in ("?", "general:0.5", "general:2,0,0", "intercept:x", "pns:5",
+                    "intercept:nan", "intercept:inf", "general:0.5,0.5,inf"):
             with pytest.raises(CliError):
                 parse_attack(bad)
 
@@ -166,6 +168,37 @@ class TestCsv:
         assert data.count(b"\n") == 51
 
 
+# SHA-256 of the CSV of a 3000-round run with 100 test bits and seed 2026
+CSV_SHA256 = {
+    "none": "9a794d158d492d18b261a4b98e3e928c352860c2fd95434f7cbb3747f06e58eb",
+    "general:0.5,0.5,0.3": "51ce4528365c9d762fcf8b21a9abd86884884e5b5a1348d4c73f1298024f8d43",
+    "intercept:0.3": "be5eb539ff7043efcba4180daab5a0ed972faba52a6a95d485651eb21f103ca4",
+    "impersonate:one": "c7e3c6f03b6fe905de3301641f588af74e35ada16ec6f481668ea3017549d05c",
+    "impersonate:two": "6f62ffbb181b73f0dab66b5327486a79c7649a67cf5606a1bb0be180cea3c328",
+    "pns:3": "27390acdb3273c1c1278e81da48c362f51d68725ba51fbe01b3a5fb515110b3d",
+    "pns:4home": "3c5176d69a37df86d0c4bcb77751193bac33be0c1629c42936135f0afa388131",
+}
+
+
+@pytest.mark.parametrize("spec", list(CSV_SHA256))
+def test_csv_bytes_pinned(spec, tmp_path):
+    path = tmp_path / "run.csv"
+    run_experiment(ExperimentConfig(rounds=3000, test_bits=100, master_seed=2026,
+                                    attack=parse_attack(spec), output_path=str(path)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[spec]
+
+
+def test_every_attack_kind_is_one_scenario():
+    assert set(batch.SCENARIOS) == set(harness.ATTACK_KINDS)
+
+
+def test_executor_rejects_wrong_draw_count():
+    for kind, scenario in batch.SCENARIOS.items():
+        for width in (scenario.draws - 1, scenario.draws + 1):
+            with pytest.raises(ValueError):
+                batch.protocol_rounds(np.full((4, width), 0.5), {"kind": kind})
+
+
 class TestCurvesAndSolve:
     def test_emit_curves_endpoints(self, tmp_path):
         p = str(tmp_path / "curves.csv")
@@ -220,6 +253,12 @@ class TestCli:
         cfg.write_text("rounds = 200\ntest_bits = 20\nseed = 3\nattack = none\n")
         rc = harness.main(["simulate", "--config", str(cfg), "--seed", "4"])
         assert rc == 0
+
+    def test_bad_config_workers_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rounds = 200\nseed = 3\nworkers = two\n")
+        assert harness.main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_argument_error_exit_one(self, capsys):
         assert harness.main(["simulate", "--rounds", "10"]) == 1          # no seed
