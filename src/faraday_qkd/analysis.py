@@ -20,6 +20,7 @@ BB84_PD = 0.15                 # comparison protocols, carried as constants
 PING_PONG_PD = 0.18
 
 PD_MAX = 0.375
+MAX_CURVE_POINTS = 10 ** 6
 
 
 def binary_entropy(p: float) -> float:
@@ -104,9 +105,10 @@ class SecurityCurve:
 
 
 def security_curve(grid_step: float) -> SecurityCurve:
-    """Sample the analytic curves on [0, 3/8] with the endpoint included."""
-    if not (0.0 < grid_step < PD_MAX):
-        raise ValueError("grid step outside (0, 3/8)")
+    """Sample the analytic curves on [0, 3/8], endpoint included, at a step
+    of at least 3/8 / ``MAX_CURVE_POINTS``."""
+    if not (PD_MAX / MAX_CURVE_POINTS <= grid_step < PD_MAX):
+        raise ValueError(f"grid step outside [{PD_MAX / MAX_CURVE_POINTS:g}, 3/8)")
     grid = list(np.arange(0.0, PD_MAX, grid_step))
     if PD_MAX - grid[-1] > 1e-12:
         grid.append(PD_MAX)

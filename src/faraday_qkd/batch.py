@@ -10,6 +10,12 @@ Each attack kind is one record of :data:`SCENARIOS`.  Draws follow the order
 of operations: a row of ``u`` gives the angles (2*pi times the uniform, in
 order of first use by the kets), then one uniform to each stochastic channel
 operation and readout step in turn, copy after copy.
+
+Gates and channel operations address the prepared register by position, as
+laid out in ``Scenario.layout``; readout steps name qubits by their layout
+label.  A measured qubit leaves the register (an intercepting Eve puts back
+the state she found), so once the parties have read out, only Eve's own
+qubits are left.
 """
 from __future__ import annotations
 
@@ -20,14 +26,6 @@ import numpy as np
 CHUNK = 2048
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def _eq_kets(theta):
-    theta = np.asarray(theta, dtype=np.float64)
-    out = np.empty(theta.shape + (2,), dtype=np.complex128)
-    out[..., 0] = 1.0 / _SQRT2
-    out[..., 1] = np.exp(1j * theta) / _SQRT2
-    return out
 
 
 def _nq(amps):
@@ -50,12 +48,8 @@ def _split(amps, q):
 
 
 def _apply_1q(amps, q, u):
-    a = _split(amps, q)
-    if u.ndim == 2:
-        out = np.einsum("ij,bpjq->bpiq", u, a)
-    else:
-        out = np.einsum("bij,bpjq->bpiq", u, a)
-    return out.reshape(amps.shape)
+    """One 2x2 unitary ``u``, or one per round, on qubit q."""
+    return np.einsum("...ij,...pjq->...piq", u, _split(amps, q)).reshape(amps.shape)
 
 
 def _apply_2q(amps, q_hi, q_lo, w):
@@ -72,6 +66,7 @@ def _apply_2q(amps, q_hi, q_lo, w):
 
 
 def _basis_rot(theta):
+    """Columns |theta> and |theta + pi>; column 0 is the equator ket."""
     theta = np.asarray(theta, dtype=np.float64)
     e = np.exp(1j * theta)
     v = np.empty(theta.shape + (2, 2), dtype=np.complex128)
@@ -82,25 +77,27 @@ def _basis_rot(theta):
     return v
 
 
-def _measure_z(amps, q, u):
+def _to_basis(amps, q, theta):
+    """Rotate qubit q so that z reads the equator basis at theta: |theta> to
+    |0>, |theta + pi> to |1>."""
+    return _apply_1q(amps, q, np.conj(np.swapaxes(_basis_rot(theta), -1, -2)))
+
+
+def _measure(amps, q, u):
+    """Measure qubit q in z, with outcome 1 where u >= P(0); return the bits
+    and the renormalised register without qubit q."""
     a = _split(amps, q)
     p0 = np.einsum("bpiq->bi", np.abs(a) ** 2)[:, 0]
     bits = (u >= p0).astype(np.int64)
-    keep0 = (bits == 0)[:, None, None]
-    a[:, :, 0, :] *= keep0
-    a[:, :, 1, :] *= ~keep0
     p = np.where(bits == 0, p0, 1.0 - p0)
-    amps = a.reshape(amps.shape[0], -1) / np.sqrt(p)[:, None]
-    return bits, amps
+    kept = a[np.arange(len(bits)), :, bits, :]
+    return bits, kept.reshape(len(bits), -1) / np.sqrt(p)[:, None]
 
 
-def _measure_equator(amps, q, theta, u):
-    v = _basis_rot(theta)
-    vd = np.conj(np.swapaxes(v, -1, -2))
-    amps = _apply_1q(amps, q, vd)
-    bits, amps = _measure_z(amps, q, u)
-    amps = _apply_1q(amps, q, v)
-    return bits, amps
+def _insert(amps, q, kets):
+    """The register with a new qubit q in ``kets``: one ket, or one per round."""
+    a = amps.reshape(len(amps), -1, 1, 1 << q)
+    return (np.reshape(kets, (-1, 1, 2, 1)) * a).reshape(len(amps), -1)
 
 
 def _attack_unitary(basis_angle, c):
@@ -115,25 +112,26 @@ def _attack_unitary(basis_angle, c):
 
 class _Rounds:
     """A chunk of rounds in flight: the register ``amps``, the records
-    (angles, key bits, Eve's guesses), and the unused draws."""
+    (angles, key bits, Eve's guesses), and the unused draws.  ``layout`` holds
+    the labels of the prepared register, lowest qubit first, and ``qubits``
+    those of the qubits not yet measured."""
 
-    def __init__(self, u, attack):
+    def __init__(self, u, attack, layout):
         self.draws, self.attack, self.rec = iter(u.T), attack, {}
-        # prepared: the register after the gates; every readout starts with
-        # _eq, which leaves it intact (_measure_z writes into its input)
+        place = dict(item.split("=") for item in layout.split())
+        self.layout = sorted(place, key=lambda label: int(place[label]))
+        self.qubits = list(self.layout)
+        # prepared: the register after the gates, kept for the Helstrom step
         self.amps = self.prepared = None
 
     def draw(self):
         return next(self.draws)
 
-    def eve_register(self):
-        """The register once the measured C and D, then its lowest qubits, are
-        projected onto the kets they collapsed to: Eve's qubits alone."""
-        amps = self.amps
-        for travel, angle in (("C", "alpha"), ("D", "beta")):
-            kets = _eq_kets(self.rec[angle] + np.pi * (1 - self.rec[travel]))
-            amps = np.einsum("bdi,bi->bd", amps.reshape(len(amps), -1, 2), kets.conj())
-        return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    def drop(self, label):
+        """The position of qubit ``label``, which leaves the labels."""
+        q = self.qubits.index(label)
+        del self.qubits[q]
+        return q
 
 
 # -- channel operations: Eve on one leg, after the gate that sent the qubit --
@@ -144,36 +142,40 @@ _LEGS = ((0.0, "cx"), (np.pi / 2, "cy"), (0.0, "cx"), (np.pi / 2, "cy"))
 
 
 def _intercept(run, travel, shift, overlap):
-    _, run.amps = _measure_equator(run.amps, travel, run.attack["gamma"] + shift, run.draw())
+    """Measure the travel qubit in Eve's basis and resend the state she found."""
+    theta = run.attack["gamma"] + shift
+    bits, rest = _measure(_to_basis(run.amps, travel, theta), travel, run.draw())
+    run.amps = _insert(rest, travel, _basis_rot(theta)[:, bits].T)
 
 
 def _entangle(run, travel, shift, overlap):
-    """Append a fresh ancilla and entangle it with the travel qubit."""
+    """Append a fresh ancilla in |0> and entangle it with the travel qubit."""
     w = _attack_unitary(run.attack["gamma"] + shift, run.attack[overlap])
-    grown = np.concatenate([run.amps, np.zeros_like(run.amps)], axis=1)
-    run.amps = _apply_2q(grown, travel, _nq(run.amps), w)
+    top = _nq(run.amps)
+    run.amps = _apply_2q(_insert(run.amps, top, np.array([1.0, 0.0])), travel, top, w)
 
 
 # -- readout steps -----------------------------------------------------------
 
-def _eq(run, q, label, angle):
-    """Measure travel qubit q in its own basis; record its odd key bit (+1 is 1)."""
-    bits, run.amps = _measure_equator(run.amps, q, run.rec[angle], run.draw())
+def _eq(run, label, angle):
+    """Measure travel qubit ``label`` in its own basis; record its odd key bit
+    (+1 is 1)."""
+    q = run.drop(label)
+    bits, run.amps = _measure(_to_basis(run.amps, q, run.rec[angle]), q, run.draw())
     run.rec[label] = 1 - bits
 
 
 def _z(run, label):
-    """Measure the lowest qubit, a home qubit, and remove it from the register;
-    record the even key bit (up is key 0)."""
-    bits, amps = _measure_z(run.amps, 0, run.draw())
-    run.rec[label] = bits
-    run.amps = amps.reshape(len(bits), -1, 2)[np.arange(len(bits)), :, bits]
+    """Measure home qubit ``label``; record its even key bit (up is key 0)."""
+    q = run.drop(label)
+    run.rec[label], run.amps = _measure(run.amps, q, run.draw())
 
 
-def _flip(run, q, label):
-    """Bob's step 9: NOT on his home qubit q when his odd key bit is 1."""
-    a = _split(run.amps, q)
-    run.amps = np.where((run.rec[label] == 1)[:, None, None, None],
+def _flip(run, label, cond):
+    """Bob's step 9: NOT on his home qubit ``label`` when his odd key bit
+    ``cond`` is 1."""
+    a = _split(run.amps, run.qubits.index(label))
+    run.amps = np.where((run.rec[cond] == 1)[:, None, None, None],
                         a[:, :, ::-1, :], a).reshape(run.amps.shape)
 
 
@@ -181,7 +183,7 @@ def _povm(run):
     """Eve's two-outcome POVM, on her (E, F) pair to guess Bob's home bit,
     then on (E', F') to guess Alice's."""
     b = run.amps.shape[0]
-    m = run.eve_register().reshape(b, 4, 4)           # axes: (E'F', EF)
+    m = run.amps.reshape(b, 4, 4)                      # axes: (E'F', EF)
     # the two pairs are in a product state: take the largest row and column
     p = np.abs(m) ** 2
     v_ef = m[np.arange(b), np.argmax(np.sum(p, axis=2), axis=1), :]
@@ -193,16 +195,15 @@ def _povm(run):
         run.rec[label] = (run.draw() >= p_up).astype(np.int64)
 
 
-def _helstrom(run, q_c):
-    """Eve's Helstrom measurement on her four stolen photons (the top qubits)
-    between her states given the shared odd key bit.  C is qubit q_c of the
-    prepared register and D is q_c + 1, above the homes, which are dropped."""
+def _helstrom(run):
+    """Eve's Helstrom measurement on her four stolen photons between her
+    states given the shared odd key bit.  In the prepared register D sits just
+    above C, the homes below C, and Eve's photons on top."""
     rec, b = run.rec, run.amps.shape[0]
     # the conditional states: rotate C and D of the prepared register into
     # their measurement frames and slice the sectors
-    va, vb = _basis_rot(rec["alpha"]), _basis_rot(rec["beta"])
-    rot = _apply_1q(run.prepared, q_c, np.conj(np.swapaxes(va, -1, -2)))
-    rot = _apply_1q(rot, q_c + 1, np.conj(np.swapaxes(vb, -1, -2)))
+    q_c = run.layout.index("C")
+    rot = _to_basis(_to_basis(run.prepared, q_c, rec["alpha"]), q_c + 1, rec["beta"])
     view = rot.reshape(b, 16, 2, 2, 1 << q_c)         # (eve, D, C, homes)
     rho = []
     for bit in (0, 1):                                 # bit 0 <=> key 1
@@ -216,7 +217,7 @@ def _helstrom(run, q_c):
     if run.attack.get("blind"):
         p1 = np.full(b, 0.5)
     else:
-        proj = np.einsum("bjk,bj->bk", vecs.conj(), run.eve_register())
+        proj = np.einsum("bjk,bj->bk", vecs.conj(), run.amps)
         p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
     rec["guess"] = (run.draw() < p1).astype(np.int64)
 
@@ -232,8 +233,10 @@ class Scenario:
     a ``channel`` operation, gate i sends its target down leg i of ``_LEGS``.
     ``readout``: ``(step, *args)`` steps, which record key bits and guesses.
     ``roles``: the records behind the public alpha, beta, C, D, A, B columns;
-    ``eve``: those of Eve's guesses of Alice's and Bob's keys.  A round runs
-    ``copies`` instances; copy i's records get the suffix i.
+    ``eve``: those of Eve's guesses of Alice's and Bob's keys, and
+    ``eve_key``: the public key column her guesses of Alice's key aim at.  A
+    round runs ``copies`` instances; copy i's records get the suffix i.
+    ``params``: the names of the attack spec's parameters, in spec order.
     """
 
     draws: int
@@ -246,12 +249,14 @@ class Scenario:
     eve: tuple = (None, None)
     even_key: bool = True
     copies: int = 1
+    params: tuple = ()
+    eve_key: str | None = None
 
 
 _NONE = Scenario(
     draws=6, layout="A=0 B=1 C=2 D=3", kets=("home", "home", "alpha", "beta"),
     gates=((0, 2), (1, 2), (1, 3), (0, 3)),                 # steps 3, 4, 6, 7
-    readout=((_eq, 2, "C", "alpha"), (_eq, 3, "D", "beta"), (_flip, 1, "D"),
+    readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_flip, "B", "D"),
              (_z, "A"), (_z, "B")))
 
 # PNS pulses carry two extra photons: Eve takes E1 on the outbound and E2 on
@@ -262,29 +267,30 @@ SCENARIOS = {
     "none": _NONE,
     "general": replace(_NONE, draws=8, layout="A=0 B=1 C=2 D=3 E=4 F=5 E'=6 F'=7",
                        readout=_NONE.readout + ((_povm,),), channel=_entangle,
-                       eve=("guess_alice", "guess_bob")),
-    "intercept": replace(_NONE, draws=10, channel=_intercept),
+                       eve=("guess_alice", "guess_bob"), params=("cx", "cy", "gamma"),
+                       eve_key="k_alice_even"),
+    "intercept": replace(_NONE, draws=10, channel=_intercept, params=("gamma",)),
     # Eve's lone home E brokers all three travel qubits: C picks up rotations
     # from (A, E), D from (B, E) and her own travel E' from (E, A)
     "impersonate:one": Scenario(
         draws=9, layout="A=0 B=1 E=2 C=3 D=4 E'=5",
         kets=("home", "home", "home", "alpha", "beta", "epsilon"),
         gates=((0, 3), (2, 3), (1, 4), (2, 4), (2, 5), (0, 5)),
-        readout=((_eq, 3, "C", "alpha"), (_eq, 4, "D", "beta"), (_eq, 5, "E'", "epsilon"),
-                 (_flip, 1, "D"), (_z, "A"), (_z, "B"), (_z, "E")),
-        eve=("E'", "E'")),
+        readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_eq, "E'", "epsilon"),
+                 (_flip, "B", "D"), (_z, "A"), (_z, "B"), (_z, "E")),
+        eve=("E'", "E'"), eve_key="k_alice_odd"),
     # Eve runs a full protocol with each party (copy 0 with Alice, 1 with Bob)
     "impersonate:two": replace(_NONE, draws=12, copies=2,
                                roles=("alpha0", "beta1", "C0", "D1", "A0", "B1"),
-                               eve=("D0", "C1")),
+                               eve=("D0", "C1"), eve_key="k_alice_odd"),
     "pns:3": Scenario(
         draws=7, layout="A=0 B=1 C=2 D=3 E1=4 E2=5 E1'=6 E2'=7",
         kets=("home", "home") + _PULSE_KETS,
         gates=((0, 2), (0, 4), (0, 5), (1, 2), (1, 5),
                (1, 3), (1, 6), (1, 7), (0, 3), (0, 7)),
-        readout=((_eq, 2, "C", "alpha"), (_eq, 3, "D", "beta"), (_flip, 1, "D"),
-                 (_z, "A"), (_z, "B"), (_helstrom, 2)),
-        eve=("guess", "guess")),
+        readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_flip, "B", "D"),
+                 (_z, "A"), (_z, "B"), (_helstrom,)),
+        eve=("guess", "guess"), eve_key="k_alice_odd"),
     "pns:4home": Scenario(
         draws=9, layout="A1=0 A2=1 B1=2 B2=3 C=4 D=5 E1=6 E2=7 E1'=8 E2'=9",
         kets=("home",) * 4 + _PULSE_KETS,
@@ -292,22 +298,20 @@ SCENARIOS = {
                (2, 4), (3, 4), (2, 7), (3, 7),
                (2, 5), (3, 5), (2, 8), (3, 8), (2, 9), (3, 9),
                (0, 5), (1, 5), (0, 9), (1, 9)),
-        readout=((_eq, 4, "C", "alpha"), (_eq, 5, "D", "beta"), (_z, "A1"),
-                 (_z, "A2"), (_z, "B1"), (_z, "B2"), (_helstrom, 4)),
+        readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_z, "A1"),
+                 (_z, "A2"), (_z, "B1"), (_z, "B2"), (_helstrom,)),
         roles=("alpha", "beta", "C", "D", "A1", "B1"), eve=("guess", "guess"),
-        even_key=False),
+        even_key=False, eve_key="k_alice_odd"),
 }
 
 
 def _run(sc, u, attack):
-    run = _Rounds(u, attack)
+    run = _Rounds(u, attack, sc.layout)
     for name in dict.fromkeys(k for k in sc.kets if k != "home"):
         run.rec[name] = 2.0 * np.pi * run.draw()
-    b = u.shape[0]
-    run.amps = np.ones((b, 1), dtype=np.complex128)
-    for k in sc.kets:                                   # qubit 0 first, the lowest index bit
-        f = _eq_kets(np.zeros(b) if k == "home" else run.rec[k])
-        run.amps = (f[:, :, None] * run.amps[:, None, :]).reshape(b, -1)
+    run.amps = np.ones((len(u), 1), dtype=np.complex128)
+    for q, k in enumerate(sc.kets):                     # qubit 0 first, the lowest index bit
+        run.amps = _insert(run.amps, q, _basis_rot(0.0 if k == "home" else run.rec[k])[..., 0])
     for leg, (c, t) in enumerate(sc.gates):
         run.amps = _apply_qfr(run.amps, c, t)
         if sc.channel:

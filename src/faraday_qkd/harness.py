@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,12 @@ from .protocol import sample_test_rounds
 CHUNK_ROUNDS = 8192
 VERIFY_STREAM_KEY = 2 ** 64 - 1
 
-ATTACK_KINDS = ("none", "general", "intercept", "impersonate:one",
-                "impersonate:two", "pns:3", "pns:4home")
+ATTACK_KINDS = tuple(batch.SCENARIOS)
+
+# the spec's parameter names, as the executor reads them, to AttackChoice fields
+_CHOICE_FIELDS = {"cx": "c_x", "cy": "c_y", "gamma": "gamma"}
+# Eve's guesses aimed at the home key are scored by I(A,E) and need her POVM
+_HOME_KEY = "k_alice_even"
 
 CSV_COLUMNS = ("round", "alpha", "beta", "out_c", "out_d", "out_a", "out_b",
                "k_alice_odd", "k_alice_even", "k_bob_odd", "k_bob_even",
@@ -49,35 +53,27 @@ class AttackChoice:
     gamma: float = 0.0
 
 
-def _finite(texts, what: str) -> list:
-    try:
-        values = [float(t) for t in texts]
-    except ValueError as exc:
-        raise CliError(f"bad {what}: {exc}") from exc
-    if not all(np.isfinite(values)):
-        raise CliError(f"{what} must be finite")
-    return values
-
-
 def parse_attack(text: str) -> AttackChoice:
     """Parse an attack spec string, e.g. 'general:0.5,0.5,0.7' or 'pns:3'."""
     text = text.strip()
-    if text == "none":
-        return AttackChoice("none")
-    if text.startswith("general:"):
-        parts = text[len("general:"):].split(",")
-        if len(parts) != 3:
-            raise CliError("general attack needs cx,cy,gamma")
-        cx, cy, g = _finite(parts, "general attack parameters")
-        if not (0 <= cx <= 1 and 0 <= cy <= 1):
-            raise CliError("attack overlaps must lie in [0, 1]")
-        return AttackChoice("general", cx, cy, g)
-    if text.startswith("intercept:"):
-        (g,) = _finite([text[len("intercept:"):]], "intercept angle")
-        return AttackChoice("intercept", gamma=g)
-    if text in ("impersonate:one", "impersonate:two", "pns:3", "pns:4home"):
+    if text in batch.SCENARIOS and not batch.SCENARIOS[text].params:
         return AttackChoice(text)
-    raise CliError(f"unknown attack spec {text!r}")
+    kind, _, args = text.partition(":")
+    names = batch.SCENARIOS[kind].params if kind in batch.SCENARIOS else ()
+    if not names:
+        raise CliError(f"unknown attack spec {text!r}")
+    parts = args.split(",")
+    if len(parts) != len(names):
+        raise CliError(f"{kind} attack needs {','.join(names)}")
+    try:
+        values = dict(zip(names, map(float, parts)))
+    except ValueError as exc:
+        raise CliError(f"bad {kind} attack parameters: {exc}") from exc
+    if not all(np.isfinite(list(values.values()))):
+        raise CliError(f"{kind} attack parameters must be finite")
+    if not all(0 <= values.get(c, 0) <= 1 for c in ("cx", "cy")):
+        raise CliError("attack overlaps must lie in [0, 1]")
+    return AttackChoice(kind, **{_CHOICE_FIELDS[name]: v for name, v in values.items()})
 
 
 @dataclass
@@ -149,45 +145,19 @@ def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.n
 
 
 def _run_chunk(args):
-    attack, master_seed, start, count = args
-    u = round_uniforms(master_seed, start, count, batch.SCENARIOS[attack.kind].draws)
-    params = {"kind": attack.kind, "gamma": attack.gamma, "cx": attack.c_x, "cy": attack.c_y}
-    if attack.kind == "general":
-        spec = GeneralAttackSpec(attack.gamma, attack.c_x, attack.c_y)
-        params["povm_up"] = EveDiscriminator(spec).m_up
+    params, master_seed, start, count = args
+    u = round_uniforms(master_seed, start, count, batch.SCENARIOS[params["kind"]].draws)
     cols = batch.protocol_rounds(u, params)
     core = {k: cols[k] for k in CSV_COLUMNS[1:11] + ("trace_dist",) if k in cols}
-    core.update(eve_bit_alice=cols["eve_guess_alice"], eve_bit_bob=cols["eve_guess_bob"])
-    return start, core
-
-
-def _merge_chunks(results, total):
-    merged = {}
-    for start, core in sorted(results, key=lambda r: r[0]):
-        for k, arr in core.items():
-            if k not in merged:
-                merged[k] = np.empty(total, dtype=arr.dtype)
-            merged[k][start:start + len(arr)] = arr
-    return merged
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.11e}"
+    return {**core, "eve_bit_alice": cols["eve_guess_alice"], "eve_bit_bob": cols["eve_guess_bob"]}
 
 
 def write_csv(path: str, columns: dict, order=CSV_COLUMNS):
+    cols = [np.asarray(columns[name]) for name in order]
+    row = ",".join("%.11e" if col.dtype.kind == "f" else "%d" for col in cols) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(order) + "\n")
-        n = len(columns[order[0]])
-        for i in range(n):
-            cells = []
-            for name in order:
-                v = columns[name][i]
-                if isinstance(v, (float, np.floating)):
-                    cells.append(_format_float(float(v)))
-                else:
-                    cells.append(str(int(v)))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(row % cells for cells in zip(*(col.tolist() for col in cols)))
 
 
 def read_csv(path: str) -> dict:
@@ -204,19 +174,33 @@ def read_csv(path: str) -> dict:
     return out
 
 
+def _information(x, y) -> float:
+    """Empirical mutual information of two bit columns."""
+    table = [[np.sum((x == a) & (y == b)) for b in (0, 1)] for a in (0, 1)]
+    return analysis.empirical_mutual_information(table)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run N protocol rounds under the configured attack, verify M test bits,
     aggregate the report, and (optionally) write per-round CSV."""
     t0 = time.time()
     n = cfg.rounds
-    chunks = [(cfg.attack, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo))
+    attack = cfg.attack
+    eve_key = batch.SCENARIOS[attack.kind].eve_key
+    params = {"kind": attack.kind, "gamma": attack.gamma, "cx": attack.c_x, "cy": attack.c_y}
+    if eve_key == _HOME_KEY:
+        spec = GeneralAttackSpec(attack.gamma, attack.c_x, attack.c_y)
+        params["povm_up"] = EveDiscriminator(spec).m_up
+    chunks = [(params, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo))
               for lo in range(0, n, CHUNK_ROUNDS)]
-    if cfg.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # the fork start method launches every worker up front
+    workers = min(cfg.workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, chunks))
     else:
         results = [_run_chunk(c) for c in chunks]
-    cols = _merge_chunks(results, n)
+    cols = {k: np.concatenate([r[k] for r in results]) for k in results[0]}
     cols["round"] = np.arange(1, n + 1, dtype=np.int64)
 
     # step 12: compare M odd bits drawn from a reserved verification stream
@@ -234,23 +218,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     sigma = float(np.sqrt(max(det_freq * (1 - det_freq), 1e-12) / n))
 
     eve_acc = i_ae = None
-    kind = cfg.attack.kind
-    if kind == "general":
-        valid = cols["eve_bit_alice"] >= 0
-        eve_acc = float(np.mean(cols["eve_bit_alice"][valid] == cols["k_alice_even"][valid]))
-        table = np.zeros((2, 2))
-        for a in (0, 1):
-            for e in (0, 1):
-                table[a, e] = np.sum((cols["k_alice_even"] == a) & (cols["eve_bit_alice"] == e))
-        i_ae = analysis.empirical_mutual_information(table)
-    elif kind.startswith(("impersonate", "pns")):
-        eve_acc = float(np.mean(cols["eve_bit_alice"] == cols["k_alice_odd"]))
-
-    table_ab = np.zeros((2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            table_ab[a, b] = np.sum((cols["k_alice_odd"] == a) & (cols["k_bob_odd"] == b))
-    i_ab = analysis.empirical_mutual_information(table_ab)
+    if eve_key:
+        eve_acc = float(np.mean(cols["eve_bit_alice"] == cols[eve_key]))
+    if eve_key == _HOME_KEY:
+        i_ae = _information(cols[eve_key], cols["eve_bit_alice"])
+    i_ab = _information(cols["k_alice_odd"], cols["k_bob_odd"])
 
     key_len = 0 if detected else 2 * (n - cfg.test_bits)
     extras = {}
@@ -282,9 +254,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 def emit_curves(grid_step: float, output_path: str):
     """Write the analytic security curves as CSV columns p_d, i_ab, i_ae, p_e, sum."""
-    if not (0.0 < grid_step < analysis.PD_MAX):
-        raise CliError("grid step must lie in (0, 3/8)")
-    curve = analysis.security_curve(grid_step)
+    try:
+        curve = analysis.security_curve(grid_step)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     cols = {
         "p_d": np.array([p.p_d for p in curve.points]),
         "i_ab": np.array([p.i_ab for p in curve.points]),
@@ -334,6 +307,8 @@ def parse_config_file(path: str) -> dict:
                 values[key] = val
     except OSError as exc:
         raise IOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     return values
 
 
@@ -367,8 +342,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--test-bits", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--attack", type=str, default=None,
-                     help="none|general:cx,cy,gamma|intercept:gamma|"
-                          "impersonate:one|impersonate:two|pns:3|pns:4home")
+                     help="|".join(f"{kind}:{','.join(sc.params)}" if sc.params else kind
+                                   for kind, sc in batch.SCENARIOS.items()))
     sim.add_argument("--out", type=str, default=None, help="per-round CSV path")
     sim.add_argument("--config", type=str, default=None,
                      help="key = value config file; flags override it")

@@ -168,7 +168,8 @@ class TestCsv:
         assert data.count(b"\n") == 51
 
 
-# SHA-256 of the CSV of a 3000-round run with 100 test bits and seed 2026
+# SHA-256 of the CSV, then of the report text without its wall-time line, of
+# a 3000-round run with 100 test bits and seed 2026
 CSV_SHA256 = {
     "none": "9a794d158d492d18b261a4b98e3e928c352860c2fd95434f7cbb3747f06e58eb",
     "general:0.5,0.5,0.3": "51ce4528365c9d762fcf8b21a9abd86884884e5b5a1348d4c73f1298024f8d43",
@@ -178,18 +179,40 @@ CSV_SHA256 = {
     "pns:3": "27390acdb3273c1c1278e81da48c362f51d68725ba51fbe01b3a5fb515110b3d",
     "pns:4home": "3c5176d69a37df86d0c4bcb77751193bac33be0c1629c42936135f0afa388131",
 }
+REPORT_SHA256 = {
+    "none": "6b89637a764bcabd87b323d2456718e9c0ed3f3726789bf3563171fc94520f3d",
+    "general:0.5,0.5,0.3": "0e1c6e6729d56b2ade6679b85ae33f5fe1b9fb338af513db679475ff1c3375f1",
+    "intercept:0.3": "a317769b306c207be2d6d849fc9ce681ced369206e0991e46593ef6915262173",
+    "impersonate:one": "8b3129c7b81c0e786dc3e9dc52b1399362db3193ce7fb391f1ecdc5955964bd9",
+    "impersonate:two": "8306615fb2d11c0aa63f5a9af590de14407f7da2e0a6c4cab0ddcc78eb27e0d2",
+    "pns:3": "a58e8b1f46c308d236718621afcc847c92cb7cc6e536ad0a59bbd1f04946b9ed",
+    "pns:4home": "9a7c69e10ec6bd7aaa41dc585cc1799aee759a33e464994aafa43d654599ba07",
+}
 
 
 @pytest.mark.parametrize("spec", list(CSV_SHA256))
 def test_csv_bytes_pinned(spec, tmp_path):
     path = tmp_path / "run.csv"
-    run_experiment(ExperimentConfig(rounds=3000, test_bits=100, master_seed=2026,
-                                    attack=parse_attack(spec), output_path=str(path)))
+    report = run_experiment(ExperimentConfig(rounds=3000, test_bits=100, master_seed=2026,
+                                             attack=parse_attack(spec), output_path=str(path)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[spec]
+    text = "\n".join(line for line in report.to_text().splitlines()
+                     if not line.startswith("wall time"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[spec]
 
 
-def test_every_attack_kind_is_one_scenario():
-    assert set(batch.SCENARIOS) == set(harness.ATTACK_KINDS)
+def test_harness_reads_attack_kinds_from_the_scenario_table():
+    for kind, scenario in batch.SCENARIOS.items():
+        spec = f"{kind}:{','.join('0.5' for _ in scenario.params)}" if scenario.params else kind
+        assert parse_attack(spec).kind == kind
+    commands = next(a for a in harness._build_parser()._actions if a.dest == "command")
+    attack = next(a for a in commands.choices["simulate"]._actions if a.dest == "attack")
+    assert attack.help == ("none|general:cx,cy,gamma|intercept:gamma|impersonate:one|"
+                         "impersonate:two|pns:3|pns:4home")
+    for kind, scenario in batch.SCENARIOS.items():
+        rep = run_experiment(ExperimentConfig(rounds=20, test_bits=2, master_seed=5,
+                                              attack=AttackChoice(kind, 0.5, 0.5, 0.3)))
+        assert (rep.eve_accuracy is not None) == (scenario.eve_key is not None), kind
 
 
 def test_executor_rejects_wrong_draw_count():
@@ -227,6 +250,13 @@ class TestCurvesAndSolve:
         with pytest.raises(CliError):
             emit_curves(0.5, str(tmp_path / "c.csv"))
 
+    @pytest.mark.parametrize("step", ["1e-300", "1e-9"])
+    def test_tiny_step_exits_one(self, step, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert harness.main(["curves", "--step", step, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_solve_report_format(self):
         text = solve_report()
         lines = text.splitlines()
@@ -260,6 +290,12 @@ class TestCli:
         assert harness.main(["simulate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_config_not_utf8_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"rounds = 200\nseed = 3\nattack = \xff\xfe\n")
+        assert harness.main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8")
+
     def test_argument_error_exit_one(self, capsys):
         assert harness.main(["simulate", "--rounds", "10"]) == 1          # no seed
         assert harness.main(["simulate", "--rounds", "10", "--seed", "1",
@@ -280,6 +316,32 @@ class TestCli:
             harness._build_parser().parse_args(
                 ["simulate", "--rounds", "10", "--seed", "1"]))
         assert cfg.workers == 2
+
+    @pytest.mark.parametrize("workers, cpus, rounds, expected", [
+        (100_000, 64, harness.CHUNK_ROUNDS + 1, 2), (4, 64, 3 * harness.CHUNK_ROUNDS, 3),
+        (100_000, 2, 3 * harness.CHUNK_ROUNDS, 2), (1, 64, 100, None)])
+    def test_pool_never_exceeds_the_chunks_or_cpus(self, workers, cpus, rounds, expected,
+                                                   monkeypatch):
+        made = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        run_experiment(ExperimentConfig(rounds=rounds, test_bits=0, master_seed=6,
+                                        workers=workers))
+        assert made == ([expected] if expected else [])
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "faraday_qkd", "solve"],
