@@ -4,9 +4,12 @@ Randomness contract: round r of an experiment draws from the counter-based
 stream ``Philox(key=(master_seed, r))`` the number of uniforms its scenario in
 ``batch.SCENARIOS`` declares, taken by the scenario's operations in order;
 the verification sampler owns the reserved stream
-``Philox(key=(master_seed, 2**64 - 1))``.  Results are therefore
-independent of chunking and worker count, and CSV output is byte-identical
-for any ``--workers`` value.
+``Philox(key=(master_seed, 2**64 - 1))``.  ``round_uniforms`` runs a chunk's
+round streams as one numpy Philox4x64-10 pass (block k = 1, 2, ... ciphers
+the counter (k, 0, 0, 0), words in block order, word x gives
+``(x >> 11) * 2**-53``), pinned by the tier-1 tests byte for byte against
+numpy's ``Philox``.  Results are therefore independent of chunking and
+worker count, and CSV output is byte-identical for any ``--workers`` value.
 
 CSV format: header row, comma delimiter, LF line endings, floats at 12
 significant digits (re-parsing a file and re-writing it is byte-stable).
@@ -14,10 +17,11 @@ significant digits (re-parsing a file and re-writing it is byte-stable).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,13 +139,39 @@ class RunReport:
         return "\n".join(lines)
 
 
+# Philox4x64 round multipliers and key bumps (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(a: np.ndarray, m: int):
+    """High and low words of the 128-bit products a * m, from 32-bit limbs."""
+    a_lo, a_hi, m_lo, m_hi = a & 0xFFFFFFFF, a >> 32, m & 0xFFFFFFFF, m >> 32
+    mid = a_hi * m_lo + ((a_lo * m_lo) >> 32)
+    mid2 = a_lo * m_hi + (mid & 0xFFFFFFFF)
+    return a_hi * m_hi + (mid >> 32) + (mid2 >> 32), a * m
+
+
 def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """Uniform draws for rounds start..start+count-1, one Philox stream each."""
-    out = np.empty((count, draws), dtype=np.float64)
-    for i in range(count):
-        key = np.array([master_seed, start + i], dtype=np.uint64)
-        out[i] = np.random.Generator(np.random.Philox(key=key)).random(draws)
-    return out
+    """Uniform draws for rounds start..start+count-1, one Philox stream each.
+
+    Row i is numpy's ``Philox(key=(master_seed, start + i)).random(draws)``,
+    all rows in one pass: block k = 1, 2, ... is Philox4x64-10 of the counter
+    (k, 0, 0, 0), its words in order, each word x giving ``(x >> 11) * 2**-53``.
+    The tier-1 tests pin it byte for byte against numpy's ``Philox``.
+    """
+    blocks = -(-draws // 4)
+    x = [np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))]
+    x += [np.zeros((count, blocks), dtype=np.uint64)] * 3
+    k0 = np.full((count, 1), master_seed, dtype=np.uint64)
+    k1 = (np.uint64(start) + np.arange(count, dtype=np.uint64))[:, None]
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(x[0], _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(x[2], _PHILOX_M[1])
+        x = [hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0]
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    words = np.stack(x, axis=-1).reshape(count, 4 * blocks)[:, :draws]
+    return (words >> 11) * 2.0 ** -53
 
 
 def _run_chunk(args):
@@ -153,11 +183,20 @@ def _run_chunk(args):
 
 
 def write_csv(path: str, columns: dict, order=CSV_COLUMNS):
+    """Write CSV to a sibling temp file renamed onto path: never a partial file."""
     cols = [np.asarray(columns[name]) for name in order]
     row = ",".join("%.11e" if col.dtype.kind == "f" else "%d" for col in cols) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(order) + "\n")
-        fh.writelines(row % cells for cells in zip(*(col.tolist() for col in cols)))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(",".join(order) + "\n")
+            fh.writelines(row % cells for cells in zip(*(col.tolist() for col in cols)))
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IOError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def read_csv(path: str) -> dict:
@@ -230,10 +269,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         extras["trace dist min"] = f"{float(np.min(cols['trace_dist'])):.9f}"
 
     if cfg.output_path:
-        try:
-            write_csv(cfg.output_path, cols)
-        except OSError as exc:
-            raise IOError(f"cannot write {cfg.output_path}: {exc}") from exc
+        write_csv(cfg.output_path, cols)
 
     return RunReport(
         config=cfg,
@@ -265,10 +301,7 @@ def emit_curves(grid_step: float, output_path: str):
         "p_e": np.array([p.p_e for p in curve.points]),
         "sum": np.array([p.i_ab + p.i_ae for p in curve.points]),
     }
-    try:
-        write_csv(output_path, cols, order=("p_d", "i_ab", "i_ae", "p_e", "sum"))
-    except OSError as exc:
-        raise IOError(f"cannot write {output_path}: {exc}") from exc
+    write_csv(output_path, cols, order=("p_d", "i_ab", "i_ae", "p_e", "sum"))
     return cols
 
 
@@ -401,6 +434,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died ({exc})", file=sys.stderr)
         return 2
 
 

@@ -30,6 +30,11 @@ def fid(a, b):
     return abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
 
 
+def keyed_rng(seed, r):
+    """numpy's own generator for round r's stream Philox(key=(seed, r))."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+
+
 def normalized(v):
     return v / np.linalg.norm(v)
 

@@ -36,6 +36,7 @@ from faraday_qkd import (
 from oracles import (
     attack_final_state,
     fid,
+    keyed_rng,
     one_home_state as oracle_one_home,
     pns3_state,
     pns4_state,
@@ -47,10 +48,6 @@ from oracles import (
 
 def report(num, text):
     print(f"ACCEPTANCE {num}: PASS — {text}")
-
-
-def keyed_rng(seed, r):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
 
 
 def test_criterion_1_protocol_correctness():

@@ -19,13 +19,9 @@ from faraday_qkd import (
 )
 from faraday_qkd import qstate as qs
 
-from oracles import attack_final_state, eq_ket, fid, kron_le, sextet
+from oracles import attack_final_state, eq_ket, fid, keyed_rng, kron_le, sextet
 
 RNG = np.random.default_rng(424242)
-
-
-def keyed_rng(seed, r):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
 
 
 def spec_of(gamma, cx, cy):

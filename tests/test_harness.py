@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -27,9 +28,7 @@ from faraday_qkd import (
 )
 from faraday_qkd.harness import CliError, read_csv, round_uniforms, write_csv
 
-
-def keyed_rng(seed, r):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+from oracles import keyed_rng
 
 
 class TestAttackParsing:
@@ -67,6 +66,19 @@ class TestConfig:
             ExperimentConfig(rounds=0, test_bits=0, master_seed=1)
         with pytest.raises(CliError):
             ExperimentConfig(rounds=10, test_bits=11, master_seed=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+def test_round_uniforms_is_numpy_philox(seed):
+    """Round r's draws are numpy's Philox(key=(seed, r)) stream, byte for byte."""
+    for start, count in ((0, 3), (harness.CHUNK_ROUNDS - 1, 3), (2**40, 3), (2**64 - 3, 2)):
+        for draws in range(1, 13):
+            u = round_uniforms(seed, start, count, draws)
+            ref = np.stack([keyed_rng(seed, start + i).random(draws) for i in range(count)])
+            assert u.shape == ref.shape and u.dtype == np.float64
+            assert u.tobytes() == ref.tobytes(), (start, draws)
+    for draws in (1, 6, 12):
+        assert round_uniforms(seed, 0, 0, draws).shape == (0, draws)
 
 
 class TestScalarBatchEquivalence:
@@ -342,6 +354,41 @@ class TestCli:
         run_experiment(ExperimentConfig(rounds=rounds, test_bits=0, master_seed=6,
                                         workers=workers))
         assert made == ([expected] if expected else [])
+
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "run.csv"
+        p.write_bytes(b"old contents\n")
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.os, "replace", replace)
+        rc = harness.main(["simulate", "--rounds", "50", "--seed", "3", "--out", str(p)])
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert p.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["run.csv"]
+
+    def test_dead_worker_exits_two(self, monkeypatch, capsys):
+        class Pool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        rc = harness.main(["--workers", "2", "simulate", "--rounds", str(2 * harness.CHUNK_ROUNDS),
+                           "--seed", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: a worker process died (")
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "faraday_qkd", "solve"],

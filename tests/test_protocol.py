@@ -5,11 +5,7 @@ import pytest
 import faraday_qkd.protocol as proto
 from faraday_qkd import batch, harness, qstate as qs
 
-from oracles import fid, state_eq4, state_eq5, state_eq6
-
-
-def keyed_rng(seed, r):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+from oracles import fid, keyed_rng, state_eq4, state_eq5, state_eq6
 
 
 def capture_hook(leg, box):
