@@ -12,10 +12,6 @@ from typing import List
 
 import numpy as np
 
-# reference constants quoted alongside the curves
-THRESHOLD_PD = 0.266188        # where I(A,B) and I(A,E) cross
-EVE_OPTIMUM_PD = 0.345         # where I(A,E) peaks
-COLLECTIVE_BOUND_PD = 0.110028  # h(p) = 1/2, the collective-attack budget
 BB84_PD = 0.15                 # comparison protocols, carried as constants
 PING_PONG_PD = 0.18
 

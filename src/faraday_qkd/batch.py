@@ -20,6 +20,7 @@ qubits are left.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +33,14 @@ def _nq(amps):
     return int(round(np.log2(amps.shape[1])))
 
 
-def _apply_qfr(amps, q1, q2):
-    idx = np.arange(amps.shape[1])
-    z1 = 1 - 2 * ((idx >> q1) & 1)
-    z2 = 1 - 2 * ((idx >> q2) & 1)
-    amps *= np.exp(-0.25j * np.pi * z1 * z2)[None, :]
-    return amps
+@lru_cache(maxsize=None)
+def _qfr_phases(n, gates):
+    """The diagonal of the QFR gates ``gates``, (control, target) pairs, on an
+    n-qubit register: exp(-i pi/4 sum z_control z_target), read-only."""
+    z = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    phases = np.exp(-0.25j * np.pi * sum(z[:, c] * z[:, t] for c, t in gates))
+    phases.flags.writeable = False
+    return phases
 
 
 def _split(amps, q):
@@ -198,20 +201,31 @@ def _povm(run):
 def _helstrom(run):
     """Eve's Helstrom measurement on her four stolen photons between her
     states given the shared odd key bit.  In the prepared register D sits just
-    above C, the homes below C, and Eve's photons on top."""
-    rec, b = run.rec, run.amps.shape[0]
-    # the conditional states: rotate C and D of the prepared register into
-    # their measurement frames and slice the sectors
-    q_c = run.layout.index("C")
-    rot = _to_basis(_to_basis(run.prepared, q_c, rec["alpha"]), q_c + 1, rec["beta"])
-    view = rot.reshape(b, 16, 2, 2, 1 << q_c)         # (eve, D, C, homes)
-    rho = []
+    above C, the homes below C, and Eve's photons on top.
+
+    Eve's state given C = D = bit is one block M_bit, (Eve, homes), contracted
+    from the prepared register with the conjugated alpha and beta basis
+    columns and normalised; bit 0 is key 1, so rho_{K=1} - rho_{K=0} is
+    M_0 M_0^+ - M_1 M_1^+.  Where the two blocks have fewer columns than Eve
+    has dimensions (pns:3), it is solved in their column span: a QR of
+    [M_0 M_1], eigh of R diag(+1, -1) R^+, and the eigenvectors mapped back
+    through Q.  Otherwise (pns:4home) eigh runs on the full difference."""
+    rec, (b, dim) = run.rec, run.amps.shape
+    h = 1 << run.layout.index("C")
+    prep = run.prepared.reshape(b, dim, 4, h)          # (eve, DC, homes)
+    va, vb = (np.conj(_basis_rot(rec[k])) for k in ("alpha", "beta"))
+    blocks = []
     for bit in (0, 1):                                 # bit 0 <=> key 1
-        blk = view[:, :, bit, bit, :]
-        r = np.einsum("beh,bfh->bef", blk, blk.conj())
-        tr = np.einsum("bee->b", r).real
-        rho.append(r / tr[:, None, None])
-    vals, vecs = np.linalg.eigh(rho[0] - rho[1])       # rho_{K=1} - rho_{K=0}
+        coef = (vb[:, :, None, bit] * va[:, None, :, bit]).reshape(b, 4)
+        blk = np.einsum("bekh,bk->beh", prep, coef)
+        blocks.append(blk / np.linalg.norm(blk, axis=(1, 2))[:, None, None])
+    if 2 * h < dim:
+        q, r = np.linalg.qr(np.concatenate(blocks, axis=2))
+        vals, w = np.linalg.eigh((r * np.repeat([1.0, -1.0], h)) @ r.conj().swapaxes(1, 2))
+        vecs = q @ w
+    else:
+        g0, g1 = (m @ m.conj().swapaxes(1, 2) for m in blocks)
+        vals, vecs = np.linalg.eigh(g0 - g1)
     rec["trace_dist"] = 0.5 * np.sum(np.abs(vals), axis=1)
 
     if run.attack.get("blind"):
@@ -306,16 +320,21 @@ SCENARIOS = {
 
 
 def _run(sc, u, attack):
+    """One chunk of rounds: draw the angles, build the product state, apply
+    the gates and run the readout.  Each run of QFR gates with no channel
+    operation between them is one multiply by its cached diagonal
+    (``_qfr_phases``): the whole gate list without a ``channel``, else one
+    gate per leg."""
     run = _Rounds(u, attack, sc.layout)
     for name in dict.fromkeys(k for k in sc.kets if k != "home"):
         run.rec[name] = 2.0 * np.pi * run.draw()
     run.amps = np.ones((len(u), 1), dtype=np.complex128)
     for q, k in enumerate(sc.kets):                     # qubit 0 first, the lowest index bit
         run.amps = _insert(run.amps, q, _basis_rot(0.0 if k == "home" else run.rec[k])[..., 0])
-    for leg, (c, t) in enumerate(sc.gates):
-        run.amps = _apply_qfr(run.amps, c, t)
+    for leg, gates in enumerate([(g,) for g in sc.gates] if sc.channel else [sc.gates]):
+        run.amps *= _qfr_phases(_nq(run.amps), gates)
         if sc.channel:
-            sc.channel(run, t, *_LEGS[leg])
+            sc.channel(run, gates[0][1], *_LEGS[leg])
     run.prepared = run.amps
     for step, *args in sc.readout:
         step(run, *args)

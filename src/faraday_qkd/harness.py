@@ -347,7 +347,7 @@ def parse_config_file(path: str) -> dict:
 
 def _resolve_workers(cli_value) -> int:
     if cli_value is not None:
-        return int(cli_value)
+        return cli_value
     env = os.environ.get("FARADAY_QKD_WORKERS")
     if env:
         try:
