@@ -1,37 +1,13 @@
 """Exact simulator and security-analysis toolkit for a two-way QKD protocol
-built on conditional-phase (Faraday-rotation) gates."""
+built on conditional-phase (Faraday-rotation) gates.
 
-from .qstate import (
-    DensityMatrix,
-    EquatorAngle,
-    StateVector,
-    apply_pauli_x,
-    apply_qfr,
-    fidelity_up_to_global_phase,
-    inner_product,
-    make_equator_state,
-    measure_equator,
-    measure_z,
-    reduced_density,
-    tensor,
-    trace_distance,
-)
-from .protocol import (
-    ChannelHook,
-    KeyLedger,
-    RoundTranscript,
-    build_ledger,
-    final_key,
-    run_round,
-    state_after_step3,
-    verify_keys,
-)
+The top level re-exports only the names below; everything else is imported
+from its module (``from faraday_qkd import batch``)."""
+
+from .qstate import EquatorAngle
 from .adversary import (
     EveDiscriminator,
-    EveSubspaceDecomposition,
     GeneralAttackSpec,
-    ImpersonationReport,
-    PnsLeakageReport,
     PnsScenario,
     build_subspace_decomposition,
     eve_infer_keys,
@@ -44,28 +20,10 @@ from .adversary import (
     pns_build,
     pns_leakage,
 )
-from .analysis import (
-    SecurityCurve,
-    SecurityPoint,
-    binary_entropy,
-    collective_bound,
-    detection_probability,
-    empirical_mutual_information,
-    entropy_inverse,
-    eve_error,
-    find_eve_optimum,
-    find_security_threshold,
-    mutual_info_ab,
-    mutual_info_ae,
-    security_curve,
-    sum_information_curve,
-)
 from .harness import (
     AttackChoice,
     ExperimentConfig,
-    RunReport,
     emit_curves,
-    main,
     parse_attack,
     run_experiment,
     solve_report,

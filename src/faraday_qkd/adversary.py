@@ -297,9 +297,6 @@ class ImpersonationReport:
     detection_freq: float
     eve_alice_agreement: float
     alice_bob_correlation: float
-    alice_odd: np.ndarray = field(repr=False)
-    bob_odd: np.ndarray = field(repr=False)
-    eve_alice_odd: np.ndarray = field(repr=False)
     eve_consistency: float = 1.0
 
 
@@ -317,9 +314,7 @@ def _impersonation(variant: str, rng, n_rounds: int) -> ImpersonationReport:
     kind = f"impersonate:{variant}"
     cols = _batch.protocol_rounds(rng.random((n_rounds, _batch.SCENARIOS[kind].draws)),
                                   {"kind": kind})
-    alice_odd = cols["k_alice_odd"]
-    bob_odd = cols["k_bob_odd"]
-    eve_alice_odd = cols["eve_guess_alice"]
+    alice_odd, bob_odd = cols["k_alice_odd"], cols["k_bob_odd"]
     corr = np.corrcoef(alice_odd, bob_odd)[0, 1] if n_rounds > 1 else 0.0
     consistency = 1.0
     if variant == "one":
@@ -329,11 +324,8 @@ def _impersonation(variant: str, rng, n_rounds: int) -> ImpersonationReport:
         variant=variant,
         rounds=n_rounds,
         detection_freq=float(np.mean(alice_odd != bob_odd)),
-        eve_alice_agreement=float(np.mean(alice_odd == eve_alice_odd)),
+        eve_alice_agreement=float(np.mean(alice_odd == cols["eve_guess_alice"])),
         alice_bob_correlation=float(corr),
-        alice_odd=alice_odd,
-        bob_odd=bob_odd,
-        eve_alice_odd=eve_alice_odd,
         eve_consistency=consistency,
     )
 
@@ -373,7 +365,7 @@ class PnsScenario:
     """One fully built photon-splitting scenario at fixed angles."""
 
     variant: str
-    layout: str
+    layout: tuple                # qubit labels in register order
     state: StateVector
 
 
@@ -398,8 +390,6 @@ class PnsLeakageReport:
     detection_freq: float
     trace_dist: float            # minimum over rounds
     trace_dist_mean: float
-    eve_guess: np.ndarray = field(repr=False)
-    key_bits: np.ndarray = field(repr=False)
 
 
 def pns_leakage(scenario, rng, n_rounds: int, blind: bool = False) -> PnsLeakageReport:
@@ -421,6 +411,4 @@ def pns_leakage(scenario, rng, n_rounds: int, blind: bool = False) -> PnsLeakage
         detection_freq=float(np.mean(key != cols["k_bob_odd"])),
         trace_dist=float(np.min(cols["trace_dist"])),
         trace_dist_mean=float(np.mean(cols["trace_dist"])),
-        eve_guess=cols["eve_guess_alice"],
-        key_bits=key,
     )

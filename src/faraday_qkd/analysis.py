@@ -8,7 +8,6 @@ error formula is mathematically defined up to p_d = 1/2 and rejected beyond.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -92,12 +91,7 @@ class SecurityPoint:
 
 @dataclass
 class SecurityCurve:
-    points: List[SecurityPoint]
-
-    def __post_init__(self):
-        pds = [p.p_d for p in self.points]
-        if any(b <= a for a, b in zip(pds, pds[1:])):
-            raise ValueError("curve grid must be strictly increasing in p_d")
+    points: list[SecurityPoint]
 
 
 def security_curve(grid_step: float) -> SecurityCurve:

@@ -11,8 +11,8 @@ of operations: a row of ``u`` gives the angles (2*pi times the uniform, in
 order of first use by the kets), then one uniform to each stochastic channel
 operation and readout step in turn, copy after copy.
 
-Gates and channel operations address the prepared register by position, as
-laid out in ``Scenario.layout``; readout steps name qubits by their layout
+Gates and channel operations address the prepared register by position, in
+the order of ``Scenario.layout``; readout steps name qubits by their layout
 label.  A measured qubit leaves the register (an intercepting Eve puts back
 the state she found), so once the parties have read out, only Eve's own
 qubits are left.
@@ -55,19 +55,6 @@ def _apply_1q(amps, q, u):
     return np.einsum("...ij,...pjq->...piq", u, _split(amps, q)).reshape(amps.shape)
 
 
-def _apply_2q(amps, q_hi, q_lo, w):
-    """Fixed 4x4 unitary; w is indexed with q_hi as the most significant bit."""
-    b = amps.shape[0]
-    n = _nq(amps)
-    a = amps.reshape([b] + [2] * n)
-    ax_hi, ax_lo = 1 + (n - 1 - q_hi), 1 + (n - 1 - q_lo)
-    a = np.moveaxis(a, [ax_hi, ax_lo], [n - 1, n])
-    shape = a.shape
-    a = np.einsum("ij,bdj->bdi", w, a.reshape(b, -1, 4)).reshape(shape)
-    a = np.moveaxis(a, [n - 1, n], [ax_hi, ax_lo])
-    return a.reshape(b, -1)
-
-
 def _basis_rot(theta):
     """Columns |theta> and |theta + pi>; column 0 is the equator ket."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -103,16 +90,6 @@ def _insert(amps, q, kets):
     return (np.reshape(kets, (-1, 1, 2, 1)) * a).reshape(len(amps), -1)
 
 
-def _attack_unitary(basis_angle, c):
-    v = np.array([[1, 1], [np.exp(1j * basis_angle), -np.exp(1j * basis_angle)]]) / _SQRT2
-    th = 2.0 * np.arccos(np.clip(c, 0.0, 1.0))
-    ry = np.array([[np.cos(th / 2), -np.sin(th / 2)], [np.sin(th / 2), np.cos(th / 2)]])
-    ctrl = np.eye(4, dtype=np.complex128)
-    ctrl[2:, 2:] = ry
-    vi = np.kron(v, np.eye(2))
-    return vi @ ctrl @ vi.conj().T
-
-
 class _Rounds:
     """A chunk of rounds in flight: the register ``amps``, the records
     (angles, key bits, Eve's guesses), and the unused draws.  ``layout`` holds
@@ -121,9 +98,7 @@ class _Rounds:
 
     def __init__(self, u, attack, layout):
         self.draws, self.attack, self.rec = iter(u.T), attack, {}
-        place = dict(item.split("=") for item in layout.split())
-        self.layout = sorted(place, key=lambda label: int(place[label]))
-        self.qubits = list(self.layout)
+        self.layout, self.qubits = layout, list(layout)
         # prepared: the register after the gates, kept for the Helstrom step
         self.amps = self.prepared = None
 
@@ -152,10 +127,15 @@ def _intercept(run, travel, shift, overlap):
 
 
 def _entangle(run, travel, shift, overlap):
-    """Append a fresh ancilla in |0> and entangle it with the travel qubit."""
-    w = _attack_unitary(run.attack["gamma"] + shift, run.attack[overlap])
-    top = _nq(run.amps)
-    run.amps = _apply_2q(_insert(run.amps, top, np.array([1.0, 0.0])), travel, top, w)
+    """Append Eve's ancilla, fresh in |0>, on top: psi|0> becomes
+    psi|0> + (P psi)((c - 1)|0> + sqrt(1 - c^2)|1>), with P the projector
+    |theta + pi><theta + pi| on the travel qubit, theta = gamma + shift and c
+    the leg's overlap.  Only the |theta + pi> branch moves the ancilla."""
+    c = run.attack[overlap]
+    v = _basis_rot(run.attack["gamma"] + shift)[:, 1]
+    p = _apply_1q(run.amps, travel, np.outer(v, v.conj()))
+    run.amps = np.concatenate([run.amps + (c - 1.0) * p,
+                               np.sqrt(max(0.0, 1.0 - c * c)) * p], axis=1)
 
 
 # -- readout steps -----------------------------------------------------------
@@ -242,9 +222,11 @@ def _helstrom(run):
 class Scenario:
     """One attack kind as data.
 
-    ``layout``: the register.  ``kets``: each qubit's equator ket, ``"home"``
-    (angle 0) or a drawn angle.  ``gates``: QFR (control, target) pairs; with
-    a ``channel`` operation, gate i sends its target down leg i of ``_LEGS``.
+    ``layout``: the qubit labels in register order, lowest qubit first.
+    ``kets``: each qubit's equator ket, ``"home"`` (angle 0) or a drawn
+    angle.  ``gates``: QFR (control, target) pairs, by register position;
+    with a ``channel`` operation, gate i sends its target down leg i of
+    ``_LEGS``.
     ``readout``: ``(step, *args)`` steps, which record key bits and guesses.
     ``roles``: the records behind the public alpha, beta, C, D, A, B columns;
     ``eve``: those of Eve's guesses of Alice's and Bob's keys, and
@@ -254,7 +236,7 @@ class Scenario:
     """
 
     draws: int
-    layout: str
+    layout: tuple
     kets: tuple
     gates: tuple
     readout: tuple
@@ -268,7 +250,7 @@ class Scenario:
 
 
 _NONE = Scenario(
-    draws=6, layout="A=0 B=1 C=2 D=3", kets=("home", "home", "alpha", "beta"),
+    draws=6, layout=("A", "B", "C", "D"), kets=("home", "home", "alpha", "beta"),
     gates=((0, 2), (1, 2), (1, 3), (0, 3)),                 # steps 3, 4, 6, 7
     readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_flip, "B", "D"),
              (_z, "A"), (_z, "B")))
@@ -279,7 +261,7 @@ _PULSE_KETS = ("alpha", "beta", "alpha", "alpha", "beta", "beta")
 
 SCENARIOS = {
     "none": _NONE,
-    "general": replace(_NONE, draws=8, layout="A=0 B=1 C=2 D=3 E=4 F=5 E'=6 F'=7",
+    "general": replace(_NONE, draws=8, layout=("A", "B", "C", "D", "E", "F", "E'", "F'"),
                        readout=_NONE.readout + ((_povm,),), channel=_entangle,
                        eve=("guess_alice", "guess_bob"), params=("cx", "cy", "gamma"),
                        eve_key="k_alice_even"),
@@ -287,7 +269,7 @@ SCENARIOS = {
     # Eve's lone home E brokers all three travel qubits: C picks up rotations
     # from (A, E), D from (B, E) and her own travel E' from (E, A)
     "impersonate:one": Scenario(
-        draws=9, layout="A=0 B=1 E=2 C=3 D=4 E'=5",
+        draws=9, layout=("A", "B", "E", "C", "D", "E'"),
         kets=("home", "home", "home", "alpha", "beta", "epsilon"),
         gates=((0, 3), (2, 3), (1, 4), (2, 4), (2, 5), (0, 5)),
         readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_eq, "E'", "epsilon"),
@@ -298,7 +280,7 @@ SCENARIOS = {
                                roles=("alpha0", "beta1", "C0", "D1", "A0", "B1"),
                                eve=("D0", "C1"), eve_key="k_alice_odd"),
     "pns:3": Scenario(
-        draws=7, layout="A=0 B=1 C=2 D=3 E1=4 E2=5 E1'=6 E2'=7",
+        draws=7, layout=("A", "B", "C", "D", "E1", "E2", "E1'", "E2'"),
         kets=("home", "home") + _PULSE_KETS,
         gates=((0, 2), (0, 4), (0, 5), (1, 2), (1, 5),
                (1, 3), (1, 6), (1, 7), (0, 3), (0, 7)),
@@ -306,7 +288,7 @@ SCENARIOS = {
                  (_z, "A"), (_z, "B"), (_helstrom,)),
         eve=("guess", "guess"), eve_key="k_alice_odd"),
     "pns:4home": Scenario(
-        draws=9, layout="A1=0 A2=1 B1=2 B2=3 C=4 D=5 E1=6 E2=7 E1'=8 E2'=9",
+        draws=9, layout=("A1", "A2", "B1", "B2", "C", "D", "E1", "E2", "E1'", "E2'"),
         kets=("home",) * 4 + _PULSE_KETS,
         gates=((0, 4), (1, 4), (0, 6), (1, 6), (0, 7), (1, 7),
                (2, 4), (3, 4), (2, 7), (3, 7),

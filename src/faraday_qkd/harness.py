@@ -90,8 +90,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise CliError("rounds must be >= 1")
+        if not (1 <= self.rounds < 2 ** 64):
+            raise CliError("rounds must satisfy 1 <= N < 2**64")
         if not (0 <= self.test_bits <= self.rounds):
             raise CliError("test bits must satisfy 0 <= M <= N")
         if not (0 <= self.master_seed < 2 ** 64):
@@ -107,7 +107,6 @@ class RunReport:
     detection_freq: float
     detection_sigma: float
     detected: bool
-    mismatches: int
     tested: int
     eve_accuracy: float | None
     empirical_i_ab: float | None
@@ -199,20 +198,6 @@ def write_csv(path: str, columns: dict, order=CSV_COLUMNS):
             os.remove(tmp)
 
 
-def read_csv(path: str) -> dict:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    out = {}
-    for j, name in enumerate(header):
-        raw = [r[j] for r in rows]
-        if any(("e" in c or "." in c) for c in raw):
-            out[name] = np.array([float(c) for c in raw])
-        else:
-            out[name] = np.array([int(c) for c in raw])
-    return out
-
-
 def _information(x, y) -> float:
     """Empirical mutual information of two bit columns."""
     table = [[np.sum((x == a) & (y == b)) for b in (0, 1)] for a in (0, 1)]
@@ -250,8 +235,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     tested[test_rounds] = 1
     cols["tested"] = tested
     mismatch_all = cols["k_alice_odd"] != cols["k_bob_odd"]
-    mismatches = int(np.sum(mismatch_all[test_rounds])) if cfg.test_bits else 0
-    detected = mismatches > 0
+    detected = bool(np.any(mismatch_all[test_rounds]))
 
     det_freq = float(np.mean(mismatch_all))
     sigma = float(np.sqrt(max(det_freq * (1 - det_freq), 1e-12) / n))
@@ -277,7 +261,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         detection_freq=det_freq,
         detection_sigma=sigma,
         detected=detected,
-        mismatches=mismatches,
         tested=cfg.test_bits,
         eve_accuracy=eve_acc,
         empirical_i_ab=i_ab,

@@ -35,6 +35,22 @@ def keyed_rng(seed, r):
     return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
 
 
+def read_csv(path):
+    """Columns of a CSV written by the harness: int where every cell is an
+    integer, float otherwise."""
+    with open(path, newline="") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    out = {}
+    for j, name in enumerate(header):
+        raw = [r[j] for r in rows]
+        if any(("e" in c or "." in c) for c in raw):
+            out[name] = np.array([float(c) for c in raw])
+        else:
+            out[name] = np.array([int(c) for c in raw])
+    return out
+
+
 def normalized(v):
     return v / np.linalg.norm(v)
 

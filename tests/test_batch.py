@@ -1,10 +1,11 @@
 """Kernel-level checks of the batch executor against independent references:
-the fused QFR diagonal against the scalar gates, and the Helstrom solve
-against a full eigendecomposition of Eve's 16x16 rho_1 - rho_0."""
+the fused QFR diagonal against the scalar gates, the general attack's
+entangler against the scalar channel hook, and the Helstrom solve against a
+full eigendecomposition of Eve's 16x16 rho_1 - rho_0."""
 import numpy as np
 import pytest
 
-from faraday_qkd import batch, qstate as qs
+from faraday_qkd import adversary, batch, qstate as qs
 
 
 @pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel is None])
@@ -19,6 +20,25 @@ def test_fused_qfr_diagonal_matches_gate_by_gate(kind):
         ref = qs.apply_qfr(ref, c, t)
     fused = amps * batch._qfr_phases(n, sc.gates)
     np.testing.assert_allclose(fused, ref.amplitudes, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("leg", range(len(batch._LEGS)))
+def test_entangler_matches_scalar_hook(leg, c):
+    """Leg i of the general attack acts on a register of 4 + i qubits: the
+    batch entangler must give the scalar hook's amplitudes, ancilla on top."""
+    sc = batch.SCENARIOS["general"]
+    n, travel = 4 + leg, sc.gates[leg][1]
+    gamma = 0.83
+    rng = np.random.default_rng(100 * leg + int(100 * c))
+    amps = rng.normal(size=(5, 1 << n)) + 1j * rng.normal(size=(5, 1 << n))
+    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    run = batch._Rounds(np.zeros((5, 0)), {"gamma": gamma, "cx": c, "cy": c}, sc.layout)
+    run.amps = amps
+    batch._entangle(run, travel, *batch._LEGS[leg])
+    hook = adversary.general_attack_hooks(adversary.GeneralAttackSpec(gamma, c, c))[leg]
+    ref = [hook.transform(qs.StateVector(n, a), None).amplitudes for a in amps]
+    np.testing.assert_allclose(run.amps, np.array(ref), rtol=0, atol=1e-14)
 
 
 def _random_chunk(rng, layout, ranks):

@@ -26,9 +26,9 @@ from faraday_qkd import (
     run_experiment,
     solve_report,
 )
-from faraday_qkd.harness import CliError, read_csv, round_uniforms, write_csv
+from faraday_qkd.harness import CliError, round_uniforms, write_csv
 
-from oracles import keyed_rng
+from oracles import keyed_rng, read_csv
 
 
 class TestAttackParsing:
@@ -66,6 +66,8 @@ class TestConfig:
             ExperimentConfig(rounds=0, test_bits=0, master_seed=1)
         with pytest.raises(CliError):
             ExperimentConfig(rounds=10, test_bits=11, master_seed=1)
+        with pytest.raises(CliError):
+            ExperimentConfig(rounds=2**64, test_bits=0, master_seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
