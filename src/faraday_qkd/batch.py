@@ -25,6 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 CHUNK = 2048
+# a chunk's full register is at most this many bytes (or CHUNK rows): every
+# kernel step streams through the register, so it is kept about cache-sized
+_CHUNK_BYTES = 2 << 20
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -67,12 +70,6 @@ def _basis_rot(theta):
     return v
 
 
-def _to_basis(amps, q, theta):
-    """Rotate qubit q so that z reads the equator basis at theta: |theta> to
-    |0>, |theta + pi> to |1>."""
-    return _apply_1q(amps, q, np.conj(np.swapaxes(_basis_rot(theta), -1, -2)))
-
-
 def _measure(amps, q, u):
     """Measure qubit q in z, with outcome 1 where u >= P(0); return the bits
     and the renormalised register without qubit q."""
@@ -82,6 +79,22 @@ def _measure(amps, q, u):
     p = np.where(bits == 0, p0, 1.0 - p0)
     kept = a[np.arange(len(bits)), :, bits, :]
     return bits, kept.reshape(len(bits), -1) / np.sqrt(p)[:, None]
+
+
+def _measure_eq(amps, q, theta, u):
+    """Measure qubit q in the equator basis at theta, with outcome 1 (|theta +
+    pi>) where u >= P(0); return the bits and the renormalised register
+    without qubit q.  Only basis column 0, for P(0), and each round's chosen
+    column are contracted with the register."""
+    a = _split(amps, q)
+    b = len(a)
+    v = np.broadcast_to(np.conj(_basis_rot(theta)), (b, 2, 2))
+    c0 = np.matmul(v[:, None, None, :, 0], a).view(np.float64).reshape(b, -1)
+    p0 = np.einsum("bi,bi->b", c0, c0)
+    bits = (u >= p0).astype(np.int64)
+    p = np.where(bits == 0, p0, 1.0 - p0)
+    w = v[np.arange(b), :, bits] / np.sqrt(p)[:, None]
+    return bits, np.matmul(w[:, None, None, :], a).reshape(b, -1)
 
 
 def _insert(amps, q, kets):
@@ -122,7 +135,7 @@ _LEGS = ((0.0, "cx"), (np.pi / 2, "cy"), (0.0, "cx"), (np.pi / 2, "cy"))
 def _intercept(run, travel, shift, overlap):
     """Measure the travel qubit in Eve's basis and resend the state she found."""
     theta = run.attack["gamma"] + shift
-    bits, rest = _measure(_to_basis(run.amps, travel, theta), travel, run.draw())
+    bits, rest = _measure_eq(run.amps, travel, theta, run.draw())
     run.amps = _insert(rest, travel, _basis_rot(theta)[:, bits].T)
 
 
@@ -144,7 +157,7 @@ def _eq(run, label, angle):
     """Measure travel qubit ``label`` in its own basis; record its odd key bit
     (+1 is 1)."""
     q = run.drop(label)
-    bits, run.amps = _measure(_to_basis(run.amps, q, run.rec[angle]), q, run.draw())
+    bits, run.amps = _measure_eq(run.amps, q, run.rec[angle], run.draw())
     run.rec[label] = 1 - bits
 
 
@@ -178,34 +191,62 @@ def _povm(run):
         run.rec[label] = (run.draw() >= p_up).astype(np.int64)
 
 
+# a pivot of rho_0 + rho_1 with less weight than this is roundoff: the states
+# have trace 1, and the real kinds leave about 1e-16 once their rank is spent
+_RANK_TOL = 1e-12
+
+
+def _range_basis(g):
+    """An orthonormal basis (rounds, n, r) of the range of each round's PSD
+    matrix g, from a Cholesky factorisation with diagonal pivoting run over
+    the whole chunk.  It stops once every round's largest remaining diagonal
+    entry is below _RANK_TOL, so r is the chunk's largest rank; a round of
+    lower rank gets zero columns, which the QR completes orthonormally."""
+    rows = np.arange(len(g))
+    d = np.einsum("bii->bi", g).real
+    cols = []
+    for _ in range(g.shape[1]):
+        p = np.argmax(d, axis=1)
+        top = d[rows, p]
+        live = top > _RANK_TOL
+        if not live.any():
+            break
+        col = g[rows, :, p]                            # column p of the residual
+        for c in cols:
+            col = col - c * c[rows, p, None].conj()
+        col = col * (live / np.sqrt(np.where(live, top, 1.0)))[:, None]
+        d = d - (col.real ** 2 + col.imag ** 2)
+        cols.append(col)
+    return np.linalg.qr(np.stack(cols, axis=2))[0]
+
+
 def _helstrom(run):
     """Eve's Helstrom measurement on her four stolen photons between her
     states given the shared odd key bit.  In the prepared register D sits just
     above C, the homes below C, and Eve's photons on top.
 
-    Eve's state given C = D = bit is one block M_bit, (Eve, homes), contracted
-    from the prepared register with the conjugated alpha and beta basis
-    columns and normalised; bit 0 is key 1, so rho_{K=1} - rho_{K=0} is
-    M_0 M_0^+ - M_1 M_1^+.  Where the two blocks have fewer columns than Eve
-    has dimensions (pns:3), it is solved in their column span: a QR of
-    [M_0 M_1], eigh of R diag(+1, -1) R^+, and the eigenvectors mapped back
-    through Q.  Otherwise (pns:4home) eigh runs on the full difference."""
+    Eve's state given C = D = bit is rho_bit = M_bit M_bit^+ over its trace,
+    with M_bit the block (Eve, homes) contracted from the prepared register
+    with the conjugated alpha and beta basis columns; bit 0 is key 1.  The
+    Helstrom operator rho_{K=1} - rho_{K=0} = rho_0 - rho_1 is solved on the
+    rank of Eve's states: eigh of Q^+ (rho_0 - rho_1) Q, with Q an orthonormal
+    basis of the range of rho_0 + rho_1 (``_range_basis``; r = 4 of her 16
+    dimensions in both real kinds), and the eigenvectors mapped back through
+    Q.  There is no solve in her full 16 dimensions."""
     rec, (b, dim) = run.rec, run.amps.shape
     h = 1 << run.layout.index("C")
-    prep = run.prepared.reshape(b, dim, 4, h)          # (eve, DC, homes)
+    # (bit, eve, homes): one contraction of the DC axis for both bits
+    prep = run.prepared.reshape(b, dim, 4, h).swapaxes(1, 2).reshape(b, 4, dim * h)
     va, vb = (np.conj(_basis_rot(rec[k])) for k in ("alpha", "beta"))
-    blocks = []
+    coef = (vb[:, :, None, :] * va[:, None, :, :]).reshape(b, 4, 2)
+    blocks = (coef.swapaxes(1, 2) @ prep).reshape(b, 2, dim, h)
+    grams = []
     for bit in (0, 1):                                 # bit 0 <=> key 1
-        coef = (vb[:, :, None, bit] * va[:, None, :, bit]).reshape(b, 4)
-        blk = np.einsum("bekh,bk->beh", prep, coef)
-        blocks.append(blk / np.linalg.norm(blk, axis=(1, 2))[:, None, None])
-    if 2 * h < dim:
-        q, r = np.linalg.qr(np.concatenate(blocks, axis=2))
-        vals, w = np.linalg.eigh((r * np.repeat([1.0, -1.0], h)) @ r.conj().swapaxes(1, 2))
-        vecs = q @ w
-    else:
-        g0, g1 = (m @ m.conj().swapaxes(1, 2) for m in blocks)
-        vals, vecs = np.linalg.eigh(g0 - g1)
+        g = blocks[:, bit] @ blocks[:, bit].conj().swapaxes(1, 2)
+        grams.append(g / np.einsum("bii->b", g).real[:, None, None])
+    q = _range_basis(grams[0] + grams[1])
+    vals, w = np.linalg.eigh(q.conj().swapaxes(1, 2) @ (grams[0] - grams[1]) @ q)
+    vecs = q @ w
     rec["trace_dist"] = 0.5 * np.sum(np.abs(vals), axis=1)
 
     if run.attack.get("blind"):
@@ -306,7 +347,8 @@ def _run(sc, u, attack):
     the gates and run the readout.  Each run of QFR gates with no channel
     operation between them is one multiply by its cached diagonal
     (``_qfr_phases``): the whole gate list without a ``channel``, else one
-    gate per leg."""
+    gate per leg.  An equator readout contracts the register with one basis
+    column per round (``_measure_eq``), never rotating the whole register."""
     run = _Rounds(u, attack, sc.layout)
     for name in dict.fromkeys(k for k in sc.kets if k != "home"):
         run.rec[name] = 2.0 * np.pi * run.draw()
@@ -341,13 +383,19 @@ def protocol_rounds(u, attack=None):
     """Run rounds of the scenario ``attack["kind"]`` (default ``"none"``), one
     row of ``u`` each; the attack's parameters come from the same dict
     (``gamma``; ``cx``, ``cy`` and ``povm_up`` for ``general``; ``blind`` for
-    PNS).  Returns the public columns and every readout record."""
+    PNS).  Returns the public columns and every readout record.
+
+    Rows run in chunks of at most ``CHUNK``, and at most ``_CHUNK_BYTES`` of
+    the scenario's full register: 128 rows for pns:4home (10 qubits), 512 for
+    pns:3 and general (8), ``CHUNK`` for the rest.  Every row is computed on
+    its own, so the chunk size changes no public column."""
     attack = attack or {"kind": "none"}
     sc = SCENARIOS[attack["kind"]]
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
         raise ValueError(f"{attack['kind']} needs rounds of {sc.draws} draws, got shape {u.shape}")
     rows = u.reshape(-1, sc.draws // sc.copies)          # copies run as consecutive rows
-    chunks = [_run(sc, rows[lo:lo + CHUNK], attack) for lo in range(0, len(rows), CHUNK)]
+    size = min(CHUNK, _CHUNK_BYTES // (16 << len(sc.layout)))
+    chunks = [_run(sc, rows[lo:lo + size], attack) for lo in range(0, len(rows), size)]
     rec = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     if sc.copies > 1:
         rec = {f"{name}{i}": arr.reshape(-1, sc.copies)[:, i]

@@ -1,11 +1,12 @@
 """Kernel-level checks of the batch executor against independent references:
 the fused QFR diagonal against the scalar gates, the general attack's
-entangler against the scalar channel hook, and the Helstrom solve against a
-full eigendecomposition of Eve's 16x16 rho_1 - rho_0."""
+entangler against the scalar channel hook, the Helstrom solve against a
+full eigendecomposition of Eve's 16x16 rho_1 - rho_0, and the executor's
+outputs against its own chunk size."""
 import numpy as np
 import pytest
 
-from faraday_qkd import adversary, batch, qstate as qs
+from faraday_qkd import adversary, batch, harness, qstate as qs
 
 
 @pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel is None])
@@ -81,8 +82,11 @@ def _full_solve(rot, eve):
 
 
 @pytest.mark.parametrize("kind, ranks", [
-    ("pns:3", [(4, 4), (2, 2), (2, 4), (1, 3), (4, 4)]),          # 2H = 8: span of the blocks
-    ("pns:4home", [(16, 16), (2, 2), (2, 16), (4, 1), (8, 8)]),   # 2H = 32: the full 16x16
+    ("pns:3", [(4, 4), (2, 2), (2, 4), (1, 3), (4, 4)]),
+    ("pns:4home", [(16, 16), (2, 2), (2, 16), (4, 1), (8, 8)]),   # a full basis for the chunk
+    # every round of low rank, so a reduced basis is checked on its own
+    ("pns:4home", [(2, 2), (1, 3), (4, 4), (2, 1)]),
+    ("pns:3", [(1, 1), (2, 2), (1, 2)]),
 ])
 def test_helstrom_matches_full_eigh(kind, ranks):
     run, rot, eve = _random_chunk(np.random.default_rng(7), batch.SCENARIOS[kind].layout, ranks)
@@ -96,3 +100,31 @@ def test_helstrom_matches_full_eigh(kind, ranks):
         run.draws = iter([p_ref + shift])
         batch._helstrom(run)
         assert np.all(run.rec["guess"] == guess)
+
+
+def _attack(kind):
+    attack = {"kind": kind, "gamma": 0.83}
+    if kind == "general":
+        spec = adversary.GeneralAttackSpec(0.83, 0.4, 0.7)
+        attack.update(cx=0.4, cy=0.7, povm_up=adversary.EveDiscriminator(spec).m_up)
+    return attack
+
+
+@pytest.mark.parametrize("kind", batch.SCENARIOS)
+def test_chunk_size_changes_no_output(kind, monkeypatch):
+    """Rows are independent: chunks of 1, 7 and 2,048 rows (the last capped by
+    the register size) give the same bytes in every column, and trace_dist to
+    1e-14."""
+    u = harness.round_uniforms(31, 0, 300, batch.SCENARIOS[kind].draws)
+    runs = []
+    for chunk in (1, 7, 2048):
+        monkeypatch.setattr(batch, "CHUNK", chunk)
+        runs.append(batch.protocol_rounds(u, _attack(kind)))
+    ref = runs[0]
+    for cols in runs[1:]:
+        assert cols.keys() == ref.keys()
+        for name, col in cols.items():
+            if name == "trace_dist":
+                np.testing.assert_allclose(col, ref[name], rtol=0, atol=1e-14)
+            else:
+                assert col.dtype == ref[name].dtype and col.tobytes() == ref[name].tobytes(), name
