@@ -12,13 +12,10 @@ from .adversary import (
     build_subspace_decomposition,
     eve_infer_keys,
     general_attack_hooks,
-    impersonation_one_home,
-    impersonation_two_homes,
     intercept_resend_hooks,
     make_ancilla_pair,
     one_home_state,
     pns_build,
-    pns_leakage,
 )
 from .harness import (
     AttackChoice,

@@ -85,7 +85,7 @@ def _attack_hook(leg: str, travel: int, basis_angle: float, c: float) -> Channel
         state = append_qubit(state)
         anc = state.num_qubits - 1
         state = apply_1q_unitary(state, travel, v.conj().T)
-        state = apply_controlled_unitary(state, travel, anc, ry, control_bit=1)
+        state = apply_controlled_unitary(state, travel, anc, ry)
         return apply_1q_unitary(state, travel, v)
 
     return ChannelHook(leg, transform)
@@ -199,6 +199,10 @@ def build_subspace_decomposition(alpha_tilde: float, beta_tilde: float,
     return dec
 
 
+# EveDiscriminator averages the residual ensembles over this many angles
+_QUADRATURE_POINTS = 64
+
+
 class EveDiscriminator:
     """Two-stage minimum-error measurement on one ancilla pair.
 
@@ -211,7 +215,7 @@ class EveDiscriminator:
     POVM {M_up, M_dn} reused for the primed pair.
     """
 
-    def __init__(self, spec: GeneralAttackSpec, quadrature_points: int = 64):
+    def __init__(self, spec: GeneralAttackSpec):
         self.spec = spec
         dim = 4
         sex0 = _sextet(0.0, spec.overlap_c_x, spec.overlap_c_y)
@@ -223,8 +227,8 @@ class EveDiscriminator:
         residual = np.eye(dim) - p1 - p4
         sigma_up = np.zeros((dim, dim), dtype=np.complex128)
         sigma_dn = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(quadrature_points):
-            at = 2.0 * np.pi * (k + 0.5) / quadrature_points
+        for k in range(_QUADRATURE_POINTS):
+            at = 2.0 * np.pi * (k + 0.5) / _QUADRATURE_POINTS
             sex = _sextet(at, spec.overlap_c_x, spec.overlap_c_y)
             sc2 = (np.sin(at / 2) * np.cos(at / 2)) ** 2
             sigma_up += 0.5 * (2 * sc2 * np.outer(sex[1], sex[1].conj())
@@ -233,8 +237,8 @@ class EveDiscriminator:
             sigma_dn += 0.5 * (2 * sc2 * np.outer(sex[4], sex[4].conj())
                                + np.outer(sex[5], sex[5].conj())
                                + np.outer(sex[6], sex[6].conj()))
-        sigma_up /= quadrature_points
-        sigma_dn /= quadrature_points
+        sigma_up /= _QUADRATURE_POINTS
+        sigma_dn /= _QUADRATURE_POINTS
         delta = residual @ (sigma_up - sigma_dn) @ residual
         vals, vecs = np.linalg.eigh(delta)
         r_up = vecs[:, vals > 1e-12] @ vecs[:, vals > 1e-12].conj().T
@@ -288,18 +292,6 @@ def eve_infer_keys(post_attack_state: StateVector, spec: GeneralAttackSpec, rng,
 # Impersonation attacks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ImpersonationReport:
-    """Detection statistics for an impersonation run."""
-
-    variant: str
-    rounds: int
-    detection_freq: float
-    eve_alice_agreement: float
-    alice_bob_correlation: float
-    eve_consistency: float = 1.0
-
-
 def _prepared_state(kind: str, **angles) -> StateVector:
     """The scenario's register after its QFR gates, from the one definition in
     ``batch.SCENARIOS``, built with the scalar engine."""
@@ -310,32 +302,6 @@ def _prepared_state(kind: str, **angles) -> StateVector:
     return state
 
 
-def _impersonation(variant: str, rng, n_rounds: int) -> ImpersonationReport:
-    kind = f"impersonate:{variant}"
-    cols = _batch.protocol_rounds(rng.random((n_rounds, _batch.SCENARIOS[kind].draws)),
-                                  {"kind": kind})
-    alice_odd, bob_odd = cols["k_alice_odd"], cols["k_bob_odd"]
-    corr = np.corrcoef(alice_odd, bob_odd)[0, 1] if n_rounds > 1 else 0.0
-    consistency = 1.0
-    if variant == "one":
-        # Eve's travel outcome is pinned by the (E, A) branch parity
-        consistency = float(np.mean(cols["E'"] == (cols["E"] ^ cols["A"])))
-    return ImpersonationReport(
-        variant=variant,
-        rounds=n_rounds,
-        detection_freq=float(np.mean(alice_odd != bob_odd)),
-        eve_alice_agreement=float(np.mean(alice_odd == cols["eve_guess_alice"])),
-        alice_bob_correlation=float(corr),
-        eve_consistency=consistency,
-    )
-
-
-def impersonation_two_homes(rng, n_rounds: int) -> ImpersonationReport:
-    """Eve splits the channel and runs complete, independent protocol
-    instances with each party using two home qubits of her own."""
-    return _impersonation("two", rng, n_rounds)
-
-
 def one_home_state(alpha, beta, epsilon) -> StateVector:
     """Pre-measurement 6-qubit state of the single-home impersonation.
 
@@ -343,11 +309,6 @@ def one_home_state(alpha, beta, epsilon) -> StateVector:
     up rotations from (A, E), Bob's D from (B, E), and Eve's own travel E'
     from (E, A)."""
     return _prepared_state("impersonate:one", alpha=alpha, beta=beta, epsilon=epsilon)
-
-
-def impersonation_one_home(rng, n_rounds: int) -> ImpersonationReport:
-    """Eve reuses a single home qubit against both parties."""
-    return _impersonation("one", rng, n_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -380,35 +341,3 @@ def pns_build(variant: str, alpha, beta) -> PnsScenario:
     kind = _pns_kind(variant)
     return PnsScenario(variant, _batch.SCENARIOS[kind].layout,
                        _prepared_state(kind, alpha=alpha, beta=beta))
-
-
-@dataclass
-class PnsLeakageReport:
-    variant: str
-    rounds: int
-    eve_key_accuracy: float
-    detection_freq: float
-    trace_dist: float            # minimum over rounds
-    trace_dist_mean: float
-
-
-def pns_leakage(scenario, rng, n_rounds: int, blind: bool = False) -> PnsLeakageReport:
-    """Monte Carlo estimate of what Eve's stolen photons reveal.
-
-    Each round draws fresh angles, runs the pulse-splitting scenario, lets the
-    legitimate parties measure, then distinguishes Eve's conditional states
-    with the optimal two-outcome (Helstrom) measurement.  ``blind=True``
-    replaces Eve's measurement with a coin flip (control case).
-    """
-    variant = scenario.variant if isinstance(scenario, PnsScenario) else str(scenario)
-    u = rng.random((n_rounds, _batch.SCENARIOS[_pns_kind(variant)].draws))
-    cols = _batch.pns_rounds(variant, u, blind=blind)
-    key = cols["k_alice_odd"]
-    return PnsLeakageReport(
-        variant=variant,
-        rounds=n_rounds,
-        eve_key_accuracy=float(np.mean(cols["eve_guess_alice"] == key)),
-        detection_freq=float(np.mean(key != cols["k_bob_odd"])),
-        trace_dist=float(np.min(cols["trace_dist"])),
-        trace_dist_mean=float(np.mean(cols["trace_dist"])),
-    )

@@ -155,30 +155,13 @@ def entropy_inverse(budget: float) -> float:
     """Inverse of the binary entropy on [0, 1/2] by monotone bisection."""
     if not (0.0 <= budget <= 1.0):
         raise ValueError("entropy budget outside [0, 1]")
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < budget:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda p: binary_entropy(p) - budget, 0.0, 0.5, tol=1e-12)
 
 
 def collective_bound() -> float:
     """Solve h(p) = 1/2: the tolerable detection rate against collective
     attacks (I(A,B) >= half the raw key)."""
     return entropy_inverse(0.5)
-
-
-def sum_information_curve(grid_step: float = 0.001):
-    """Tabulate I(A,B) + I(A,E); the sum never exceeds 1 bit per qubit."""
-    curve = security_curve(grid_step)
-    out = [(pt.p_d, pt.i_ab + pt.i_ae) for pt in curve.points]
-    for p_d, s in out:
-        if s > 1.0 + 1e-12:
-            raise AssertionError(f"information sum exceeds 1 at p_d={p_d}")
-    return out
 
 
 def empirical_mutual_information(joint_counts) -> float:

@@ -248,12 +248,8 @@ def _helstrom(run):
     vals, w = np.linalg.eigh(q.conj().swapaxes(1, 2) @ (grams[0] - grams[1]) @ q)
     vecs = q @ w
     rec["trace_dist"] = 0.5 * np.sum(np.abs(vals), axis=1)
-
-    if run.attack.get("blind"):
-        p1 = np.full(b, 0.5)
-    else:
-        proj = np.einsum("bjk,bj->bk", vecs.conj(), run.amps)
-        p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
+    proj = np.einsum("bjk,bj->bk", vecs.conj(), run.amps)
+    p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
     rec["guess"] = (run.draw() < p1).astype(np.int64)
 
 
@@ -382,8 +378,8 @@ def _public(sc, rec):
 def protocol_rounds(u, attack=None):
     """Run rounds of the scenario ``attack["kind"]`` (default ``"none"``), one
     row of ``u`` each; the attack's parameters come from the same dict
-    (``gamma``; ``cx``, ``cy`` and ``povm_up`` for ``general``; ``blind`` for
-    PNS).  Returns the public columns and every readout record.
+    (``gamma``; ``cx``, ``cy`` and ``povm_up`` for ``general``).  Returns the
+    public columns and every readout record.
 
     Rows run in chunks of at most ``CHUNK``, and at most ``_CHUNK_BYTES`` of
     the scenario's full register: 128 rows for pns:4home (10 qubits), 512 for
@@ -403,14 +399,15 @@ def protocol_rounds(u, attack=None):
     return _public(sc, rec)
 
 
+# kept only because perfbench/spans.py wraps them by name
 def one_home_rounds(u):
     """Single-home impersonation rounds."""
     return protocol_rounds(u, {"kind": "impersonate:one"})
 
 
-def pns_rounds(variant, u, blind=False):
-    """Photon-splitting rounds; ``blind=True`` makes Eve's guess a coin flip."""
-    return protocol_rounds(u, {"kind": PNS_KINDS[variant], "blind": blind})
+def pns_rounds(variant, u):
+    """Photon-splitting rounds of ``PNS_KINDS[variant]``."""
+    return protocol_rounds(u, {"kind": PNS_KINDS[variant]})
 
 
 PNS_KINDS = {"three-photon": "pns:3", "four-home-qubit": "pns:4home"}

@@ -12,7 +12,7 @@ StateVector and leaves its input untouched.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,9 +155,9 @@ def append_qubit(s: StateVector, ket=None) -> StateVector:
     return StateVector(s.num_qubits + 1, np.kron(vec, s.amplitudes))
 
 
-def apply_controlled_unitary(s: StateVector, control: int, target: int, u: np.ndarray,
-                             control_bit: int = 1) -> StateVector:
-    """Apply u on target when qubit control is in |control_bit>."""
+def apply_controlled_unitary(s: StateVector, control: int, target: int,
+                             u: np.ndarray) -> StateVector:
+    """Apply u on target when qubit control is in |1>."""
     s._check_qubit(control)
     s._check_qubit(target)
     if control == target:
@@ -165,7 +165,7 @@ def apply_controlled_unitary(s: StateVector, control: int, target: int, u: np.nd
     n = s.num_qubits
     a = s.amplitudes.reshape([2] * n).copy()
     a = np.moveaxis(a, [_axis(n, control), _axis(n, target)], [0, 1])
-    a[control_bit] = np.tensordot(u, a[control_bit], axes=([1], [0]))
+    a[1] = np.tensordot(u, a[1], axes=([1], [0]))
     a = np.moveaxis(a, [0, 1], [_axis(n, control), _axis(n, target)])
     return StateVector(n, a.reshape(-1))
 
@@ -202,19 +202,17 @@ class DensityMatrix:
 
     dim: int
     entries: np.ndarray
-    _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.complex128)
         if self.entries.shape != (self.dim, self.dim):
             raise ValueError("entries shape does not match dim")
-        if self._validate:
-            if np.max(np.abs(self.entries - self.entries.conj().T)) > 1e-10:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(self.entries).real - 1.0) > 1e-10:
-                raise ValueError("density matrix trace differs from 1")
-            if np.linalg.eigvalsh(self.entries).min() < -1e-10:
-                raise ValueError("density matrix has a negative eigenvalue")
+        if np.max(np.abs(self.entries - self.entries.conj().T)) > 1e-10:
+            raise ValueError("density matrix is not Hermitian")
+        if abs(np.trace(self.entries).real - 1.0) > 1e-10:
+            raise ValueError("density matrix trace differs from 1")
+        if np.linalg.eigvalsh(self.entries).min() < -1e-10:
+            raise ValueError("density matrix has a negative eigenvalue")
 
     def purity(self) -> float:
         return float(np.trace(self.entries @ self.entries).real)

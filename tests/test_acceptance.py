@@ -25,11 +25,8 @@ from faraday_qkd import (
     emit_curves,
     general_attack_hooks,
     harness,
-    impersonation_one_home,
-    impersonation_two_homes,
     one_home_state,
     pns_build,
-    pns_leakage,
     run_experiment,
 )
 
@@ -199,13 +196,16 @@ def test_criterion_7_eve_information_bound():
 
 
 def test_criterion_8_impersonation():
-    """Both impersonation variants detected at 1/2 per compared bit; the
-    one-home register matches its direct construction."""
-    rep2 = impersonation_two_homes(np.random.default_rng(1008), 100_000)
-    rep1 = impersonation_one_home(np.random.default_rng(1009), 100_000)
-    assert abs(rep2.detection_freq - 0.5) < 0.01
-    assert abs(rep1.detection_freq - 0.5) < 0.01
-    assert rep2.eve_alice_agreement == 1.0
+    """Both impersonation variants detected at 1/2 per compared bit, Eve
+    holding Alice's odd key; the one-home register matches its direct
+    construction."""
+    det = {}
+    for kind, seed in (("impersonate:two", 1008), ("impersonate:one", 1009)):
+        u = harness.round_uniforms(seed, 0, 100_000, batch.SCENARIOS[kind].draws)
+        cols = batch.protocol_rounds(u, {"kind": kind})
+        det[kind] = np.mean(cols["k_alice_odd"] != cols["k_bob_odd"])
+        assert abs(det[kind] - 0.5) < 0.01
+        assert np.all(cols["eve_guess_alice"] == cols["k_alice_odd"])
     rng = np.random.default_rng(1010)
     worst = 1.0
     for _ in range(10):
@@ -213,7 +213,7 @@ def test_criterion_8_impersonation():
         worst = min(worst, fid(one_home_state(a, b, e).amplitudes,
                                oracle_one_home(a, b, e)))
     assert worst >= 1 - 1e-9
-    report(8, f"two-home {rep2.detection_freq:.4f}, one-home {rep1.detection_freq:.4f}, "
+    report(8, f"two-home {det['impersonate:two']:.4f}, one-home {det['impersonate:one']:.4f}, "
               f"state fidelity 1 - {1 - worst:.1e}")
 
 
@@ -221,12 +221,14 @@ def test_criterion_9_pns_insecurity():
     """Photon splitting reads the key perfectly, invisibly, with orthogonal
     conditional states; the closed-form state cross-checks hold."""
     msgs = []
-    for variant, seed in (("three-photon", 1011), ("four-home-qubit", 1012)):
-        rep = pns_leakage(variant, np.random.default_rng(seed), 10_000)
-        assert rep.eve_key_accuracy == 1.0
-        assert rep.detection_freq == 0.0
-        assert abs(rep.trace_dist - 1.0) < 1e-9
-        msgs.append(f"{variant}: acc 1.0, det 0, T {rep.trace_dist:.12f}")
+    for kind, seed in (("pns:3", 1011), ("pns:4home", 1012)):
+        u = harness.round_uniforms(seed, 0, 10_000, batch.SCENARIOS[kind].draws)
+        cols = batch.protocol_rounds(u, {"kind": kind})
+        assert np.all(cols["eve_guess_alice"] == cols["k_alice_odd"])
+        assert np.all(cols["k_alice_odd"] == cols["k_bob_odd"])
+        t_min = np.min(cols["trace_dist"])
+        assert abs(t_min - 1.0) < 1e-9
+        msgs.append(f"{kind}: acc 1.0, det 0, T {t_min:.12f}")
     rng = np.random.default_rng(1013)
     worst = 1.0
     for _ in range(10):

@@ -1,9 +1,10 @@
 """Photon-number-splitting attacks: state construction, collapsed branches,
-Bell-pairing structure, and the leakage triple."""
+Bell-pairing structure, and what Eve's stolen photons reveal, measured by
+``batch.protocol_rounds`` on the per-round Philox streams."""
 import numpy as np
 import pytest
 
-from faraday_qkd import PnsScenario, pns_build, pns_leakage
+from faraday_qkd import batch, harness, pns_build
 from faraday_qkd import qstate as qs
 
 from oracles import UP, DN, eq_ket, fid, kron_le, pns3_state, pns4_state
@@ -133,23 +134,10 @@ class TestBellPairingStructure:
 class TestLeakage:
     @pytest.mark.parametrize("variant", ["three-photon", "four-home-qubit"])
     def test_undetectable_and_fully_readable(self, variant):
-        rep = pns_leakage(variant, rng_of(11), 2_000)
-        assert rep.eve_key_accuracy == 1.0
-        assert rep.detection_freq == 0.0
-        assert rep.trace_dist == pytest.approx(1.0, abs=1e-9)
-        assert rep.trace_dist_mean == pytest.approx(1.0, abs=1e-9)
-
-    def test_scenario_object_accepted(self):
-        sc = pns_build("three-photon", 0.3, 1.3)
-        rep = pns_leakage(sc, rng_of(12), 500)
-        assert rep.variant == "three-photon"
-        assert rep.eve_key_accuracy == 1.0
-
-    def test_blind_control_is_chance(self):
-        rep = pns_leakage("three-photon", rng_of(13), 4_000, blind=True)
-        assert abs(rep.eve_key_accuracy - 0.5) < 3 * 0.5 / np.sqrt(4_000)
-        assert rep.detection_freq == 0.0
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            pns_leakage("bogus", rng_of(14), 10)
+        kind = batch.PNS_KINDS[variant]
+        u = harness.round_uniforms(11, 0, 2_000, batch.SCENARIOS[kind].draws)
+        cols = batch.protocol_rounds(u, {"kind": kind})
+        assert np.all(cols["eve_guess_alice"] == cols["k_alice_odd"])
+        assert np.all(cols["k_alice_odd"] == cols["k_bob_odd"])
+        assert np.min(cols["trace_dist"]) == pytest.approx(1.0, abs=1e-9)
+        assert np.mean(cols["trace_dist"]) == pytest.approx(1.0, abs=1e-9)

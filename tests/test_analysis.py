@@ -105,11 +105,6 @@ class TestCurves:
         assert all(b > a for a, b in zip(pds, pds[1:]))
         assert pds[0] == 0.0 and pds[-1] == pytest.approx(0.375)
 
-    def test_sum_endpoint_and_interior(self):
-        rows = an.sum_information_curve(0.005)
-        assert rows[0] == (0.0, pytest.approx(1.0))
-        assert all(s < 1.0 for _, s in rows[1:])
-
     def test_sum_at_threshold(self):
         root = an.find_security_threshold()
         s = an.mutual_info_ab(root) + an.mutual_info_ae(root)

@@ -1,8 +1,9 @@
 """Kernel-level checks of the batch executor against independent references:
 the fused QFR diagonal against the scalar gates, the general attack's
 entangler against the scalar channel hook, the Helstrom solve against a
-full eigendecomposition of Eve's 16x16 rho_1 - rho_0, and the executor's
-outputs against its own chunk size."""
+full eigendecomposition of Eve's 16x16 rho_1 - rho_0, the executor's
+outputs against its own chunk size, and the named wrappers against the
+executor."""
 import numpy as np
 import pytest
 
@@ -128,3 +129,17 @@ def test_chunk_size_changes_no_output(kind, monkeypatch):
                 np.testing.assert_allclose(col, ref[name], rtol=0, atol=1e-14)
             else:
                 assert col.dtype == ref[name].dtype and col.tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("kind, variant", [("impersonate:one", None),
+                                           ("pns:3", "three-photon"),
+                                           ("pns:4home", "four-home-qubit")])
+def test_wrappers_match_protocol_rounds(kind, variant):
+    """``one_home_rounds`` and ``pns_rounds`` give the bytes of
+    ``protocol_rounds`` on the same draws, column for column."""
+    u = harness.round_uniforms(41, 0, 200, batch.SCENARIOS[kind].draws)
+    got = batch.pns_rounds(variant, u) if variant else batch.one_home_rounds(u)
+    want = batch.protocol_rounds(u, {"kind": kind})
+    assert got.keys() == want.keys()
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name

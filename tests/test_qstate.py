@@ -236,7 +236,7 @@ class TestTraceDistance:
 
     def test_rejects_non_hermitian(self):
         rho = qs.reduced_density(rand_state(1), [0])
-        bad = qs.DensityMatrix(2, np.eye(2) / 2, _validate=False)
+        bad = qs.DensityMatrix(2, np.eye(2) / 2)
         bad.entries = np.array([[0.5, 0.3], [0.1, 0.5]])
         with pytest.raises(ValueError):
             qs.trace_distance(rho, bad)
