@@ -11,8 +11,12 @@ the counter (k, 0, 0, 0), words in block order, word x gives
 numpy's ``Philox``.  Results are therefore independent of chunking and
 worker count, and CSV output is byte-identical for any ``--workers`` value.
 
-CSV format: header row, comma delimiter, LF line endings, floats at 12
-significant digits (re-parsing a file and re-writing it is byte-stable).
+CSV format: header row, comma delimiter, LF line endings; float cells are
+byte for byte ``%.11e`` and integer cells ``%d`` (re-parsing a file and
+re-writing it is byte-stable).  ``write_csv`` formats CHUNK_ROUNDS (8,192)
+rows at a time as one ASCII byte matrix built with numpy, so its memory is
+bounded by that block; the tier-1 tests check its bytes against a '%' row
+writer.
 """
 from __future__ import annotations
 
@@ -181,15 +185,97 @@ def _run_chunk(args):
     return {**core, "eve_bit_alice": cols["eve_guess_alice"], "eve_bit_bob": cols["eve_guess_bob"]}
 
 
+# ASCII digits of 0..999, three to a row; NUL marks a cell position to drop
+_TRIPLES = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)),
+                         dtype=np.uint8).reshape(1000, 3)
+# exact doubles 10**0 .. 10**22, and the uint64 powers 10**0 .. 10**19
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_INT = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+
+
+def _digits(mag: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) ASCII digits of uint64 magnitudes below 10**width."""
+    triples = []
+    for _ in range((width - 1) // 3):
+        mag, low = np.divmod(mag, 1000)
+        triples.append(low)
+    triples.append(mag)
+    return _TRIPLES[np.stack(triples[::-1], axis=1)].reshape(len(mag), -1)[:, -width:]
+
+
+def _int_cells(x: np.ndarray) -> np.ndarray:
+    """``%d`` of each value as a NUL-padded (rows, width) ASCII matrix."""
+    neg = x < 0
+    mag = x.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # two's complement: |-2**63| fits
+    width = len(str(mag.max()))
+    cells = _digits(mag, width)
+    cells[:, :-1] *= mag[:, None] >= _POW10_INT[width - 1:0:-1]  # leading zeros
+    if neg.any():
+        cells = np.hstack([np.where(neg, ord("-"), 0).astype(np.uint8)[:, None], cells])
+    return cells
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``%.11e`` of each value as a NUL-padded (rows, width) ASCII matrix.
+
+    For 1e-11 <= x < 1e12, e = floor(log10 x) and m = x * 10**(11 - e) takes
+    one rounding (10**(11 - e) is an exact double), so m is within 6.1e-5 of
+    the exact product; rint(m) is then the printf rounding of x to 12
+    digits unless m sits within 1e-3 of a tie.  Such near-ties, values whose
+    m or rint(m) leaves [1e11, 1e12) (log10 missed e by one, or the digits
+    round up to 10**12), and 0, negatives, nan and inf go through '%' cell
+    by cell.
+    """
+    x = x.astype(np.float64, copy=False)
+    pos = x > 0
+    e = np.floor(np.log10(np.where(pos, x, 1.0)))
+    ok = pos & (e >= -11) & (e <= 11)
+    e = np.where(ok, e, 0).astype(np.int64)
+    m = np.where(ok, x, 1.0) * _POW10[11 - e]
+    r = np.rint(m)
+    ok &= (np.abs(m - np.floor(m) - 0.5) > 1e-3) & (m >= 1e11) & (r < 1e12)
+    slow = np.flatnonzero(~ok)
+    text = [b"%.11e" % v for v in x[slow].tolist()]
+    cells = np.zeros((len(x), max([17, *map(len, text)])), dtype=np.uint8)
+    digits = _digits(np.where(ok, r, 1e11).astype(np.uint64), 12)
+    cells[:, 0] = digits[:, 0]
+    cells[:, 1] = ord(".")
+    cells[:, 2:13] = digits[:, 1:]
+    cells[:, 13] = ord("e")
+    cells[:, 14] = np.where(e < 0, ord("-"), ord("+"))
+    cells[:, 15:17] = _TRIPLES[np.abs(e), 1:]
+    if text:
+        cells[slow] = np.frombuffer(b"".join(t.ljust(cells.shape[1], b"\0") for t in text),
+                                    dtype=np.uint8).reshape(len(text), -1)
+    return cells
+
+
+def _csv_block(cols) -> bytes:
+    """CSV rows of equal-length columns: one ASCII matrix, NULs dropped."""
+    cells = [_float_cells(c) if c.dtype.kind == "f" else _int_cells(c) for c in cols]
+    out = np.full((len(cols[0]), sum(c.shape[1] + 1 for c in cells)), ord(","), dtype=np.uint8)
+    pos = 0
+    for c in cells:
+        out[:, pos:pos + c.shape[1]] = c
+        pos += c.shape[1] + 1
+    out[:, -1] = ord("\n")
+    return out.tobytes().replace(b"\0", b"")
+
+
 def write_csv(path: str, columns: dict, order=CSV_COLUMNS):
-    """Write CSV to a sibling temp file renamed onto path: never a partial file."""
+    """Write CSV to a sibling temp file renamed onto path: never a partial file.
+
+    Cells are byte for byte ``%.11e`` (float columns) and ``%d`` (others),
+    formatted CHUNK_ROUNDS rows at a time.
+    """
     cols = [np.asarray(columns[name]) for name in order]
-    row = ",".join("%.11e" if col.dtype.kind == "f" else "%d" for col in cols) + "\n"
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(",".join(order) + "\n")
-            fh.writelines(row % cells for cells in zip(*(col.tolist() for col in cols)))
+        with open(tmp, "wb") as fh:
+            fh.write((",".join(order) + "\n").encode())
+            for lo in range(0, len(cols[0]), CHUNK_ROUNDS):
+                fh.write(_csv_block([c[lo:lo + CHUNK_ROUNDS] for c in cols]))
         os.replace(tmp, path)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc

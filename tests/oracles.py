@@ -51,6 +51,16 @@ def read_csv(path):
     return out
 
 
+def percent_csv(columns, order):
+    """CSV bytes by one '%' format per row (``%.11e`` for float columns,
+    ``%d`` otherwise): the reference the harness's block writer must match."""
+    cols = [np.asarray(columns[name]) for name in order]
+    row = ",".join("%.11e" if col.dtype.kind == "f" else "%d" for col in cols) + "\n"
+    text = ",".join(order) + "\n"
+    text += "".join(row % cells for cells in zip(*(col.tolist() for col in cols)))
+    return text.encode()
+
+
 def normalized(v):
     return v / np.linalg.norm(v)
 

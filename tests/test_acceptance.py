@@ -10,7 +10,6 @@ fails by design; its docstring and failure message carry the analysis.
 import time
 
 import numpy as np
-import pytest
 
 import faraday_qkd.protocol as proto
 from faraday_qkd import (
@@ -23,7 +22,6 @@ from faraday_qkd import (
     batch,
     build_subspace_decomposition,
     emit_curves,
-    general_attack_hooks,
     harness,
     one_home_state,
     pns_build,
@@ -31,7 +29,6 @@ from faraday_qkd import (
 )
 
 from oracles import (
-    attack_final_state,
     fid,
     keyed_rng,
     one_home_state as oracle_one_home,

@@ -7,7 +7,7 @@ import pytest
 from faraday_qkd import batch, harness, pns_build
 from faraday_qkd import qstate as qs
 
-from oracles import UP, DN, eq_ket, fid, kron_le, pns3_state, pns4_state
+from oracles import eq_ket, fid, kron_le, pns3_state, pns4_state
 
 
 def rng_of(seed):

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -28,7 +29,7 @@ from faraday_qkd import (
 )
 from faraday_qkd.harness import CliError, round_uniforms, write_csv
 
-from oracles import keyed_rng, read_csv
+from oracles import keyed_rng, percent_csv, read_csv
 
 
 class TestAttackParsing:
@@ -181,6 +182,48 @@ class TestCsv:
         assert b"\r" not in data
         assert data.count(b"\n") == 51
 
+    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 20000, 100000])
+    def test_bytes_equal_percent_oracle(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        cols = {
+            "round": np.arange(1, rows + 1),
+            "special": np.resize(np.array(SPECIAL_FLOATS), rows),
+            "angle": 2 * np.pi * rng.random(rows),
+            "log_uniform": 10.0 ** rng.uniform(-14, 14, rows),
+            "int": np.resize(np.array(SPECIAL_INTS), rows),
+            "outcome": rng.choice(np.array([-1, 1]), rows),
+            "flag": rng.random(rows) < 0.5,
+            "uint": np.resize(np.array([0, 7, 2 ** 64 - 1], dtype=np.uint64), rows),
+        }
+        path = tmp_path / "o.csv"
+        write_csv(str(path), cols, order=tuple(cols))
+        assert path.read_bytes() == percent_csv(cols, tuple(cols))
+
+    def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
+        rows = 200_000
+        rng = np.random.default_rng(3)
+        cols = {name: rng.integers(0, 2, rows) for name in harness.CSV_COLUMNS}
+        cols["round"] = np.arange(1, rows + 1)
+        cols["alpha"], cols["beta"] = 2 * np.pi * rng.random((2, rows))
+        for name in ("out_c", "out_d", "out_a", "out_b"):
+            cols[name] = 2 * cols[name] - 1
+        tracemalloc.start()
+        try:
+            write_csv(str(tmp_path / "m.csv"), cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+
+# cells the block writer's digit paths must get exactly right or hand to '%':
+# zero, signs, non-finite values, subnormal and out-of-range exponents, the
+# ends of [1e11, 1e12), near-ties of the 12th digit, and int64's extremes
+SPECIAL_FLOATS = [0.0, -0.0, -1.5, -2 * np.pi, np.nan, np.inf, -np.inf, 5e-324, 1e-300,
+                  1e300, 1e-11, 1e11, 1e12, 1.000000000005, 9.9999999999995,
+                  999999999999.5, 0.1234567890125]
+SPECIAL_INTS = [0, 1, -1, 9, 10, 99, 100, 2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63]
+
 
 # SHA-256 of the CSV, then of the report text without its wall-time line, of
 # a 3000-round run with 100 test bits and seed 2026
@@ -259,6 +302,15 @@ class TestCurvesAndSolve:
     def test_i_ab_monotone_decreasing(self, tmp_path):
         cols = emit_curves(0.005, str(tmp_path / "c.csv"))
         assert np.all(np.diff(cols["i_ab"]) < 0)
+
+    @pytest.mark.parametrize("step,digest", [
+        (0.001, "a90205f3e9991a8322647f364047ae601ed2117e46c8b3fcd5ad98513a14b0cb"),
+        (0.0001, "508e59c3c0beb8ef583f9b942f61935bb438d8334280b14f68f8b50cac98c5c8"),
+    ])
+    def test_curves_bytes_pinned(self, step, digest, tmp_path):
+        path = tmp_path / "c.csv"
+        emit_curves(step, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_bad_step(self, tmp_path):
         with pytest.raises(CliError):
