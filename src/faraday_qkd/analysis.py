@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BB84_PD = 0.15                 # comparison protocols, carried as constants
-PING_PONG_PD = 0.18
-
 PD_MAX = 0.375
 MAX_CURVE_POINTS = 10 ** 6
 

@@ -37,8 +37,6 @@ from .protocol import sample_test_rounds
 CHUNK_ROUNDS = 8192
 VERIFY_STREAM_KEY = 2 ** 64 - 1
 
-ATTACK_KINDS = tuple(batch.SCENARIOS)
-
 # the spec's parameter names, as the executor reads them, to AttackChoice fields
 _CHOICE_FIELDS = {"cx": "c_x", "cy": "c_y", "gamma": "gamma"}
 # Eve's guesses aimed at the home key are scored by I(A,E) and need her POVM
@@ -111,7 +109,6 @@ class RunReport:
     detection_freq: float
     detection_sigma: float
     detected: bool
-    tested: int
     eve_accuracy: float | None
     empirical_i_ab: float | None
     empirical_i_ae: float | None
@@ -123,7 +120,7 @@ class RunReport:
         cfg = self.config
         lines = [
             f"rounds          {self.rounds}",
-            f"test bits       {self.tested}",
+            f"test bits       {cfg.test_bits}",
             f"seed            {cfg.master_seed}",
             f"attack          {cfg.attack.kind}",
             f"detection freq  {self.detection_freq:.6f} +- {self.detection_sigma:.6f}",
@@ -347,7 +344,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         detection_freq=det_freq,
         detection_sigma=sigma,
         detected=detected,
-        tested=cfg.test_bits,
         eve_accuracy=eve_acc,
         empirical_i_ab=i_ab,
         empirical_i_ae=i_ae,

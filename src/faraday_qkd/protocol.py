@@ -84,22 +84,6 @@ class RoundTranscript:
     outcome_bob_B_z: int
     alice_bits: tuple
     bob_bits: tuple
-    used_for_test: bool = False
-
-
-@dataclass
-class KeyLedger:
-    """Raw key material of both parties plus the verification bookkeeping.
-
-    ``alice_key[2*(n-1)]`` holds round n's odd bit K_{2n-1} and
-    ``alice_key[2*(n-1)+1]`` the even bit K_{2n}.  ``test_indices`` holds the
-    1-based odd K-indices consumed by verification.
-    """
-
-    alice_key: list
-    bob_key: list
-    test_indices: frozenset = frozenset()
-    detected: bool | None = None
 
 
 def _apply_hooks(state, hooks, leg, rng):
@@ -164,17 +148,6 @@ def run_round(n: int, rng, hooks: Sequence[ChannelHook] = (), return_state: bool
     return transcript
 
 
-def state_after_step3(alpha) -> StateVector:
-    """Normalized (A, C) state once C is in flight to Bob.
-
-    Register order: qubit 0 = A, qubit 1 = C.  Equals
-    (e^{-i pi/4}|up>|alpha+pi/2> + e^{+i pi/4}|down>|alpha-pi/2>)/sqrt(2);
-    the travel qubit is maximally entangled with A.
-    """
-    state = product_state([equator_ket(0.0), equator_ket(alpha)])
-    return apply_qfr(state, 0, 1)
-
-
 def sample_test_rounds(rng, n_rounds: int, m: int) -> np.ndarray:
     """Choose m distinct round indices (0-based) for verification."""
     if m > n_rounds:
@@ -182,46 +155,3 @@ def sample_test_rounds(rng, n_rounds: int, m: int) -> np.ndarray:
     if m == 0:
         return np.empty(0, dtype=np.int64)
     return np.sort(rng.choice(n_rounds, size=m, replace=False))
-
-
-def verify_keys(transcripts: Sequence[RoundTranscript], m: int, rng):
-    """Step 12: compare m randomly chosen odd key bits over the public channel.
-
-    Returns (detected, mismatch_count, tested_odd_indices); tested transcripts
-    are flagged ``used_for_test``.  Indices are the 1-based odd K-indices.
-    """
-    rounds = sample_test_rounds(rng, len(transcripts), m)
-    mismatches = 0
-    tested = []
-    for r in rounds:
-        t = transcripts[r]
-        t.used_for_test = True
-        tested.append(2 * t.round_index - 1)
-        if t.alice_bits[0] != t.bob_bits[0]:
-            mismatches += 1
-    return mismatches > 0, mismatches, frozenset(tested)
-
-
-def build_ledger(transcripts: Sequence[RoundTranscript], detected: bool | None = None) -> KeyLedger:
-    alice, bob, tested = [], [], []
-    for t in transcripts:
-        alice.extend(t.alice_bits)
-        bob.extend(t.bob_bits)
-        if t.used_for_test:
-            tested.append(2 * t.round_index - 1)
-    return KeyLedger(alice, bob, frozenset(tested), detected)
-
-
-def final_key(ledger: KeyLedger, party: str = "alice") -> list:
-    """Concatenated key bits after discarding every tested odd bit and its
-    paired even bit (the pair shares the first bit's security fate)."""
-    if ledger.detected:
-        raise RuntimeError("verification detected tampering; no key is produced")
-    bits = ledger.alice_key if party == "alice" else ledger.bob_key
-    out = []
-    for i, bit in enumerate(bits):
-        k_index = i + 1
-        if k_index in ledger.test_indices or (k_index - 1) in ledger.test_indices:
-            continue
-        out.append(bit)
-    return out

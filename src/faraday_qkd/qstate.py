@@ -79,34 +79,14 @@ def make_equator_state(phi) -> StateVector:
     return StateVector(1, equator_ket(phi))
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; a's qubits keep their positions, b's follow above them."""
-    n = a.num_qubits + b.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError("tensor product exceeds the register limit")
-    # little-endian: b occupies the high index bits
-    return StateVector(n, np.kron(b.amplitudes, a.amplitudes))
-
-
 def product_state(factors) -> StateVector:
-    """Tensor product of 1-qubit kets given in register order (qubit 0 first)."""
+    """Tensor product of kets in register order: qubit 0 first, each factor's
+    qubits above those of the factors before it."""
     amp = np.array([1.0 + 0j])
     for f in factors:
         vec = f.amplitudes if isinstance(f, StateVector) else np.asarray(f, dtype=np.complex128)
         amp = np.kron(vec, amp)
     return StateVector(int(round(np.log2(amp.size))), amp)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states live on different registers")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity_up_to_global_phase(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 for normalized states; insensitive to global phase."""
-    return float(abs(inner_product(a, b)) ** 2)
 
 
 def _axis(n: int, q: int) -> int:

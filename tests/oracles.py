@@ -61,6 +61,28 @@ def percent_csv(columns, order):
     return text.encode()
 
 
+def step12_ledger(columns, seed, m):
+    """Step 12 rebuilt from a run's CSV columns and its seed.
+
+    Returns (tested, detected, alice_key, bob_key): the 0/1 flags of the m
+    rounds drawn from the reserved stream ``Philox(key=(seed, 2**64 - 1))``;
+    whether any round the CSV marks tested has differing odd key bits; and
+    each party's final key, the defined cells (not -1) of the untested rounds'
+    odd and even key columns in round order, empty after a detection.
+    """
+    n = len(columns["round"])
+    tested = np.zeros(n, dtype=np.int64)
+    tested[np.sort(keyed_rng(seed, 2 ** 64 - 1).choice(n, m, replace=False))] = 1
+    check = columns["tested"] == 1
+    detected = bool(np.any(columns["k_alice_odd"][check] != columns["k_bob_odd"][check]))
+    keys = []
+    for party in ("alice", "bob"):
+        cells = np.stack([columns[f"k_{party}_odd"], columns[f"k_{party}_even"]], axis=1)
+        cells = cells[~check].reshape(-1)
+        keys.append(cells[:0] if detected else cells[cells != -1])
+    return tested, detected, *keys
+
+
 def normalized(v):
     return v / np.linalg.norm(v)
 

@@ -1,12 +1,15 @@
-"""Every name a module imports is used: an ``ast`` walk over the package
-(except ``__init__``, whose imports are its public re-exports) and the tests."""
+"""Two ``ast`` walks.  Every name a module imports is used, over the package
+(except ``__init__``, whose imports are its public re-exports) and the tests.
+Every public top-level name of the package is read by the package or by the
+benchmark, not only by the tests."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in (ROOT / "src" / "faraday_qkd").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "faraday_qkd").glob("*.py"))
+FILES = [p for p in PACKAGE if p.name != "__init__.py"]
 FILES += sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -27,3 +30,52 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# public names only the tests read, kept on purpose: trace_distance for the
+# oracles of what Eve can learn, make_equator_state as the one-qubit input of
+# the state-engine and attack tests, and simulated_detection_probability, the
+# closed form the unbalanced attack's Monte Carlo detection rate is checked
+# against
+TEST_FACING = {("qstate", "trace_distance"), ("qstate", "make_equator_state"),
+               ("analysis", "simulated_detection_probability")}
+
+
+def names_read(tree, strings=False) -> set:
+    """Names a module loads, attributes it reads and names it imports; with
+    ``strings``, its string constants too (the benchmark wraps some package
+    functions by attribute name)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def public_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from (name for name in targets if not name.startswith("_"))
+
+
+def test_public_names_have_a_reader():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    read = set().union(*(names_read(ast.parse(p.read_text(encoding="utf-8")), strings=True)
+                         for p in (ROOT / "perfbench").glob("*.py")))
+    read |= set().union(*map(names_read, trees.values()))
+    unread = [(module, name) for module, tree in trees.items() if not module.startswith("__")
+              for name in public_names(tree) if name not in read]
+    assert sorted(set(unread) - TEST_FACING) == []
