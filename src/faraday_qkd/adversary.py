@@ -133,12 +133,14 @@ def _kron_ef(e_vec, f_vec):
     return np.kron(f_vec, e_vec)
 
 
-def _sextet(rel_angle: float, c_first: float, c_second: float):
-    """The six (unnormalized) ancilla-pair vectors for one travel qubit."""
+def _sextet(rel_angle, c_first: float, c_second: float):
+    """The six (unnormalized) ancilla-pair vectors for one travel qubit, or
+    for each of an array of angles: vectors 2, 3, 5 and 6 then get the
+    angles' shape plus a last axis of 4; |1> and |4> do not depend on it."""
     e0, e1 = make_ancilla_pair(c_first)
     h0, h1 = make_ancilla_pair(c_second)
-    c2 = np.cos(rel_angle / 2) ** 2
-    s2 = np.sin(rel_angle / 2) ** 2
+    c2 = (np.cos(np.asarray(rel_angle) / 2) ** 2)[..., None]
+    s2 = (np.sin(np.asarray(rel_angle) / 2) ** 2)[..., None]
     return {
         1: _kron_ef(e0, h0) - _kron_ef(e1, h1),
         2: s2 * _kron_ef(e0, h0) + c2 * _kron_ef(e1, h1),
@@ -225,20 +227,18 @@ class EveDiscriminator:
         p1 = self._ray_projector(v1)
         p4 = self._ray_projector(v4 - p1 @ v4)
         residual = np.eye(dim) - p1 - p4
-        sigma_up = np.zeros((dim, dim), dtype=np.complex128)
-        sigma_dn = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(_QUADRATURE_POINTS):
-            at = 2.0 * np.pi * (k + 0.5) / _QUADRATURE_POINTS
-            sex = _sextet(at, spec.overlap_c_x, spec.overlap_c_y)
-            sc2 = (np.sin(at / 2) * np.cos(at / 2)) ** 2
-            sigma_up += 0.5 * (2 * sc2 * np.outer(sex[1], sex[1].conj())
-                               + np.outer(sex[2], sex[2].conj())
-                               + np.outer(sex[3], sex[3].conj()))
-            sigma_dn += 0.5 * (2 * sc2 * np.outer(sex[4], sex[4].conj())
-                               + np.outer(sex[5], sex[5].conj())
-                               + np.outer(sex[6], sex[6].conj()))
-        sigma_up /= _QUADRATURE_POINTS
-        sigma_dn /= _QUADRATURE_POINTS
+        # the midpoint quadrature over the relative angle, all points at once:
+        # sigma = 1/2 mean_k (2 sin^2 cos^2 |1><1| + |2><2| + |3><3|), and the
+        # same for "down" with |4>, |5>, |6>
+        at = 2.0 * np.pi * (np.arange(_QUADRATURE_POINTS) + 0.5) / _QUADRATURE_POINTS
+        sex = _sextet(at, spec.overlap_c_x, spec.overlap_c_y)
+        kets = np.stack([np.broadcast_to(sex[i], sex[2].shape) for i in range(1, 7)], axis=1)
+        kets = kets.reshape(_QUADRATURE_POINTS, 2, 3, dim)     # (k, up/down, vector, 4)
+        sc2 = (np.sin(at / 2) * np.cos(at / 2)) ** 2
+        weights = np.stack([2 * sc2, np.ones_like(sc2), np.ones_like(sc2)], axis=1)
+        sigma = 0.5 * np.einsum("kv,kuvi,kuvj->uij", weights, kets, kets.conj())
+        # complex, so eigh solves the Hermitian problem and m_up keeps its dtype
+        sigma_up, sigma_dn = sigma.astype(np.complex128) / _QUADRATURE_POINTS
         delta = residual @ (sigma_up - sigma_dn) @ residual
         vals, vecs = np.linalg.eigh(delta)
         r_up = vecs[:, vals > 1e-12] @ vecs[:, vals > 1e-12].conj().T

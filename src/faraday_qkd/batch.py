@@ -46,16 +46,25 @@ def _qfr_phases(n, gates):
     return phases
 
 
+@lru_cache(maxsize=None)
+def _home_table(n, homes, gates):
+    """The factor (2**(n - homes), 2**homes) that turns the product of the
+    drawn-angle qubits into the prepared n-qubit register with one broadcast
+    multiply, read-only: the constant product of the ``homes`` lowest qubits,
+    all in the home ket, times the diagonal of the QFR gates ``gates``."""
+    home = np.ones((1, 1), dtype=np.complex128)
+    for q in range(homes):
+        home = _insert(home, q, _basis_rot(0.0)[..., 0])
+    table = home * _qfr_phases(n, gates).reshape(-1, 1 << homes) if gates else home
+    table.flags.writeable = False
+    return table
+
+
 def _split(amps, q):
     dim = amps.shape[1]
     post = 1 << q
     pre = dim >> (q + 1)
     return amps.reshape(amps.shape[0], pre, 2, post)
-
-
-def _apply_1q(amps, q, u):
-    """One 2x2 unitary ``u``, or one per round, on qubit q."""
-    return np.einsum("...ij,...pjq->...piq", u, _split(amps, q)).reshape(amps.shape)
 
 
 def _basis_rot(theta):
@@ -141,14 +150,21 @@ def _intercept(run, travel, shift, overlap):
 
 def _entangle(run, travel, shift, overlap):
     """Append Eve's ancilla, fresh in |0>, on top: psi|0> becomes
-    psi|0> + (P psi)((c - 1)|0> + sqrt(1 - c^2)|1>), with P the projector
-    |theta + pi><theta + pi| on the travel qubit, theta = gamma + shift and c
-    the leg's overlap.  Only the |theta + pi> branch moves the ancilla."""
+    psi|0> + (P psi)((c - 1)|0> + sqrt(1 - c^2)|1>), with P = |v><v| the
+    projector onto v = |theta + pi> on the travel qubit, theta = gamma + shift
+    and c the leg's overlap.  Only the |theta + pi> branch moves the ancilla.
+    P is applied as a rank-one operator: the travel qubit is contracted with
+    v^+ once, and both ancilla halves are written into one new register."""
     c = run.attack[overlap]
     v = _basis_rot(run.attack["gamma"] + shift)[:, 1]
-    p = _apply_1q(run.amps, travel, np.outer(v, v.conj()))
-    run.amps = np.concatenate([run.amps + (c - 1.0) * p,
-                               np.sqrt(max(0.0, 1.0 - c * c)) * p], axis=1)
+    a = _split(run.amps, travel)
+    b, pre, _, post = a.shape
+    w = np.einsum("i,bpiq->bpq", v.conj(), a)[:, :, None, :]     # v^+ psi
+    out = np.empty((b, 2, pre, 2, post), dtype=np.complex128)
+    np.multiply(w, ((c - 1.0) * v)[:, None], out=out[:, 0])
+    out[:, 0] += a
+    np.multiply(w, (np.sqrt(max(0.0, 1.0 - c * c)) * v)[:, None], out=out[:, 1])
+    run.amps = out.reshape(b, -1)
 
 
 # -- readout steps -----------------------------------------------------------
@@ -240,12 +256,10 @@ def _helstrom(run):
     va, vb = (np.conj(_basis_rot(rec[k])) for k in ("alpha", "beta"))
     coef = (vb[:, :, None, :] * va[:, None, :, :]).reshape(b, 4, 2)
     blocks = (coef.swapaxes(1, 2) @ prep).reshape(b, 2, dim, h)
-    grams = []
-    for bit in (0, 1):                                 # bit 0 <=> key 1
-        g = blocks[:, bit] @ blocks[:, bit].conj().swapaxes(1, 2)
-        grams.append(g / np.einsum("bii->b", g).real[:, None, None])
-    q = _range_basis(grams[0] + grams[1])
-    vals, w = np.linalg.eigh(q.conj().swapaxes(1, 2) @ (grams[0] - grams[1]) @ q)
+    grams = blocks @ blocks.conj().swapaxes(2, 3)      # (b, bit, dim, dim); bit 0 <=> key 1
+    grams /= np.einsum("bkii->bk", grams).real[:, :, None, None]
+    q = _range_basis(grams[:, 0] + grams[:, 1])
+    vals, w = np.linalg.eigh(q.conj().swapaxes(1, 2) @ (grams[:, 0] - grams[:, 1]) @ q)
     vecs = q @ w
     rec["trace_dist"] = 0.5 * np.sum(np.abs(vals), axis=1)
     proj = np.einsum("bjk,bj->bk", vecs.conj(), run.amps)
@@ -340,21 +354,26 @@ SCENARIOS = {
 
 def _run(sc, u, attack):
     """One chunk of rounds: draw the angles, build the product state, apply
-    the gates and run the readout.  Each run of QFR gates with no channel
-    operation between them is one multiply by its cached diagonal
-    (``_qfr_phases``): the whole gate list without a ``channel``, else one
-    gate per leg.  An equator readout contracts the register with one basis
-    column per round (``_measure_eq``), never rotating the whole register."""
+    the gates and run the readout.  Only the drawn-angle qubits are built per
+    round, on a register of 2**(n - homes) amplitudes; one broadcast multiply
+    by the cached ``_home_table`` adds the homes (the lowest qubits) and,
+    without a ``channel``, the whole gate list's QFR diagonal.  With one, each
+    leg's gate is a multiply by its own diagonal (``_qfr_phases``) before the
+    channel operation.  An equator readout contracts the register with one
+    basis column per round (``_measure_eq``), never rotating the whole
+    register."""
     run = _Rounds(u, attack, sc.layout)
     for name in dict.fromkeys(k for k in sc.kets if k != "home"):
         run.rec[name] = 2.0 * np.pi * run.draw()
-    run.amps = np.ones((len(u), 1), dtype=np.complex128)
-    for q, k in enumerate(sc.kets):                     # qubit 0 first, the lowest index bit
-        run.amps = _insert(run.amps, q, _basis_rot(0.0 if k == "home" else run.rec[k])[..., 0])
-    for leg, gates in enumerate([(g,) for g in sc.gates] if sc.channel else [sc.gates]):
-        run.amps *= _qfr_phases(_nq(run.amps), gates)
-        if sc.channel:
-            sc.channel(run, gates[0][1], *_LEGS[leg])
+    homes = sc.kets.count("home")
+    drawn = np.ones((len(u), 1), dtype=np.complex128)
+    for q, k in enumerate(sc.kets[homes:]):             # lowest index bit first
+        drawn = _insert(drawn, q, _basis_rot(run.rec[k])[..., 0])
+    table = _home_table(len(sc.kets), homes, () if sc.channel else sc.gates)
+    run.amps = (drawn[:, :, None] * table).reshape(len(u), -1)
+    for leg, gate in enumerate(sc.gates if sc.channel else ()):
+        run.amps *= _qfr_phases(_nq(run.amps), (gate,))
+        sc.channel(run, gate[1], *_LEGS[leg])
     run.prepared = run.amps
     for step, *args in sc.readout:
         step(run, *args)

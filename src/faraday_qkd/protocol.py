@@ -76,12 +76,7 @@ class RoundTranscript:
     """Record of one protocol iteration."""
 
     round_index: int
-    alpha: EquatorAngle
-    beta: EquatorAngle
     outcome_alice_C: int
-    outcome_bob_D: int
-    outcome_alice_A_z: int
-    outcome_bob_B_z: int
     alice_bits: tuple
     bob_bits: tuple
 
@@ -134,12 +129,7 @@ def run_round(n: int, rng, hooks: Sequence[ChannelHook] = (), return_state: bool
 
     transcript = RoundTranscript(
         round_index=n,
-        alpha=alpha,
-        beta=beta,
         outcome_alice_C=out_c,
-        outcome_bob_D=out_d,
-        outcome_alice_A_z=out_a,
-        outcome_bob_B_z=out_b,
         alice_bits=(k_odd_alice, EVEN_BIT[out_a]),
         bob_bits=(k_odd_bob, EVEN_BIT[out_b]),
     )

@@ -196,6 +196,40 @@ def attack_final_state(alpha, beta, gamma, cx, cy):
     return out
 
 
+def discriminator_m_up(cx, cy):
+    """The discriminator's M_up by a loop over the midpoint quadrature, one
+    angle at a time: the ray projectors of |1> and |4> (the latter
+    orthogonalised against the former), plus the projector onto the positive
+    eigenspace of the residual-restricted, angle-averaged sigma_up -
+    sigma_dn.  The reference the package's one-shot quadrature must match."""
+    def ray(v):
+        n = np.linalg.norm(v)
+        if n < 1e-9:
+            return np.zeros((v.size, v.size), dtype=complex)
+        return np.outer(v / n, (v / n).conj())
+
+    sex0 = sextet(0.0, cx, cy)
+    p1 = ray(sex0[1])
+    p4 = ray(sex0[4] - p1 @ sex0[4])
+    residual = np.eye(4) - p1 - p4
+    points = 64
+    sigma_up = np.zeros((4, 4), dtype=complex)
+    sigma_dn = np.zeros((4, 4), dtype=complex)
+    for k in range(points):
+        at = 2.0 * np.pi * (k + 0.5) / points
+        sex = sextet(at, cx, cy)
+        sc2 = (np.sin(at / 2) * np.cos(at / 2)) ** 2
+        sigma_up += 0.5 * (2 * sc2 * np.outer(sex[1], sex[1].conj())
+                           + np.outer(sex[2], sex[2].conj())
+                           + np.outer(sex[3], sex[3].conj()))
+        sigma_dn += 0.5 * (2 * sc2 * np.outer(sex[4], sex[4].conj())
+                           + np.outer(sex[5], sex[5].conj())
+                           + np.outer(sex[6], sex[6].conj()))
+    vals, vecs = np.linalg.eigh(residual @ (sigma_up / points - sigma_dn / points) @ residual)
+    up = vecs[:, vals > 1e-12]
+    return p1 + residual @ (up @ up.conj().T) @ residual
+
+
 # -- impersonation with a single home qubit -----------------------------------
 
 def one_home_state(alpha, beta, epsilon):

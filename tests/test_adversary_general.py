@@ -19,7 +19,15 @@ from faraday_qkd import (
 )
 from faraday_qkd import qstate as qs
 
-from oracles import attack_final_state, eq_ket, fid, keyed_rng, kron_le, sextet
+from oracles import (
+    attack_final_state,
+    discriminator_m_up,
+    eq_ket,
+    fid,
+    keyed_rng,
+    kron_le,
+    sextet,
+)
 
 RNG = np.random.default_rng(424242)
 
@@ -229,6 +237,14 @@ class TestEveInference:
                 assert np.allclose(m, m.conj().T, atol=1e-10)
                 assert np.linalg.eigvalsh(m).min() > -1e-9
             assert np.allclose(disc.m_up + disc.m_dn, np.eye(4), atol=1e-10)
+
+    @pytest.mark.parametrize("cx, cy", [(0.5, 0.5), (0.45, 0.45), (0.2, 0.8), (0.4, 0.7),
+                                        (0.0, 0.0), (1.0, 1.0)])
+    def test_m_up_matches_quadrature_loop(self, cx, cy):
+        """The one-shot quadrature (every angle in one ``_sextet`` call and one
+        einsum) gives the angle-by-angle loop's M_up to 1e-15."""
+        m_up = EveDiscriminator(spec_of(0.3, cx, cy)).m_up
+        assert np.max(np.abs(m_up - discriminator_m_up(cx, cy))) <= 1e-15
 
     def test_orthogonal_attack_reads_keys_perfectly(self):
         spec = spec_of(0.6, 0.0, 0.0)

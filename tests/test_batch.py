@@ -1,9 +1,11 @@
 """Kernel-level checks of the batch executor against independent references:
-the fused QFR diagonal against the scalar gates, the general attack's
-entangler against the scalar channel hook, the Helstrom solve against a
-full eigendecomposition of Eve's 16x16 rho_1 - rho_0, the executor's
-outputs against its own chunk size, and the named wrappers against the
-executor."""
+the fused QFR diagonal and the prepared register against the scalar gates
+and product state, the general attack's entangler against the scalar
+channel hook, the Helstrom solve against a full eigendecomposition of Eve's
+16x16 rho_1 - rho_0, the executor's outputs against its own chunk size, and
+the named wrappers against the executor."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,31 @@ def test_fused_qfr_diagonal_matches_gate_by_gate(kind):
         ref = qs.apply_qfr(ref, c, t)
     fused = amps * batch._qfr_phases(n, sc.gates)
     np.testing.assert_allclose(fused, ref.amplitudes, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel is None])
+def test_prepared_register_matches_scalar_build(kind):
+    """The register after the gates, built from the drawn-angle qubits and the
+    cached home table, equals the scalar engine's product state and gates
+    (``adversary._prepared_state``) at random angles."""
+    sc = batch.SCENARIOS[kind]
+    homes = sc.kets.count("home")
+    names = list(dict.fromkeys(sc.kets[homes:]))
+    captured = []
+    capture = replace(sc, readout=((lambda run: captured.append(run.prepared),),))
+    u = np.random.default_rng(len(kind) + 3).random((6, len(names)))
+    batch._run(capture, u, {})
+    for row, amps in zip(u, captured[0]):
+        ref = adversary._prepared_state(kind, **dict(zip(names, 2.0 * np.pi * row)))
+        np.testing.assert_allclose(amps, ref.amplitudes, rtol=0, atol=1e-14)
+
+
+def test_scenarios_list_home_kets_first():
+    """The prepared-register build puts the homes on the lowest qubits, so
+    a kind that lists a home ket after a drawn one must fail here."""
+    for kind, sc in batch.SCENARIOS.items():
+        homes = sc.kets.count("home")
+        assert sc.kets[:homes] == ("home",) * homes, kind
 
 
 @pytest.mark.parametrize("c", [0.0, 0.37, 1.0])
