@@ -1,15 +1,26 @@
 """Vectorized Monte Carlo kernels: the scenario table and its one executor.
 
-Rounds are simulated in batches of shape (rounds, 2**n) with the same
-little-endian register conventions and the same per-round draw order as the
-scalar engine in :mod:`protocol`, so a batch run and a loop of
-``protocol.run_round`` calls fed the identical uniform streams produce
-identical transcripts.
+Rounds are simulated in batches with the same little-endian register
+conventions and the same per-round draw order as the scalar engine in
+:mod:`protocol`, so a batch run and a loop of ``protocol.run_round`` calls
+fed the identical uniform streams produce identical transcripts.
 
 Each attack kind is one record of :data:`SCENARIOS`.  Draws follow the order
 of operations: a row of ``u`` gives the angles (2*pi times the uniform, in
 order of first use by the kets), then one uniform to each stochastic channel
 operation and readout step in turn, copy after copy.
+
+The executor works in the angle frame.  Every ket is an equator ket and
+every gate a diagonal QFR, so a round's register is R psi, with
+R = (x)_q diag(1, e^{i theta_q}) over the qubits' ket angles (0 for a home)
+and psi the frame register: at preparation, the kind's register at all-zero
+angles, the same for every round.  An operation on qubit q in the basis at
+angle phi acts on psi in the basis at phi - theta_q; a z readout, a NOT and
+a QFR commute with R.  The frame register holds distinct states, one row of
+``amps`` each, and ``idx`` gives each round's state.  A readout splits each
+state by the bits its rounds drew, so a kind without a channel operation
+holds at most 2**(readouts so far) states; a channel operation, whose angle
+is per round, gives every round its own.
 
 Gates and channel operations address the prepared register by position, in
 the order of ``Scenario.layout``; readout steps name qubits by their layout
@@ -25,8 +36,9 @@ from functools import lru_cache
 import numpy as np
 
 CHUNK = 2048
-# a chunk's full register is at most this many bytes (or CHUNK rows): every
-# kernel step streams through the register, so it is kept about cache-sized
+# a channel kind holds one register per round, so its chunk is also capped at
+# this many bytes of register: every kernel step streams through the
+# register, so it is kept about cache-sized
 _CHUNK_BYTES = 2 << 20
 
 _SQRT2 = np.sqrt(2.0)
@@ -44,20 +56,6 @@ def _qfr_phases(n, gates):
     phases = np.exp(-0.25j * np.pi * sum(z[:, c] * z[:, t] for c, t in gates))
     phases.flags.writeable = False
     return phases
-
-
-@lru_cache(maxsize=None)
-def _home_table(n, homes, gates):
-    """The factor (2**(n - homes), 2**homes) that turns the product of the
-    drawn-angle qubits into the prepared n-qubit register with one broadcast
-    multiply, read-only: the constant product of the ``homes`` lowest qubits,
-    all in the home ket, times the diagonal of the QFR gates ``gates``."""
-    home = np.ones((1, 1), dtype=np.complex128)
-    for q in range(homes):
-        home = _insert(home, q, _basis_rot(0.0)[..., 0])
-    table = home * _qfr_phases(n, gates).reshape(-1, 1 << homes) if gates else home
-    table.flags.writeable = False
-    return table
 
 
 def _split(amps, q):
@@ -79,31 +77,58 @@ def _basis_rot(theta):
     return v
 
 
-def _measure(amps, q, u):
-    """Measure qubit q in z, with outcome 1 where u >= P(0); return the bits
-    and the renormalised register without qubit q."""
-    a = _split(amps, q)
+def _regroup(run, bits):
+    """Split the states by the rounds' ``bits``: point each round at its
+    (state, bit) pair, the pairs some round took numbered in order, and
+    return those pairs' states and bits."""
+    # every state has a round, so as many states as rounds means one round
+    # each: every state keeps its place
+    if len(run.amps) == len(run.idx):
+        b = np.empty_like(bits)
+        b[run.idx] = bits
+        return np.arange(len(b)), b
+    key = 2 * run.idx + bits
+    taken = np.zeros(2 * len(run.amps), dtype=bool)
+    taken[key] = True
+    run.idx = (np.cumsum(taken) - 1)[key]
+    pairs = np.flatnonzero(taken)
+    return pairs >> 1, pairs & 1
+
+
+def _outcome(run, p0, u):
+    """Each round takes outcome 1 where its draw u >= its state's P(0), which
+    is computed once per state.  Returns the rounds' outcomes and the
+    (state, outcome) pairs some round took, with their probabilities."""
+    bits = (u >= p0[run.idx]).astype(np.int64)
+    s, b = _regroup(run, bits)
+    return bits, s, b, np.where(b == 0, p0[s], 1.0 - p0[s])
+
+
+def _measure(run, q, u):
+    """Measure qubit q in z; keep one renormalised register without qubit q
+    per (state, outcome) pair, and return the rounds' outcomes."""
+    a = _split(run.amps, q)
     p0 = np.einsum("bpiq->bi", np.abs(a) ** 2)[:, 0]
-    bits = (u >= p0).astype(np.int64)
-    p = np.where(bits == 0, p0, 1.0 - p0)
-    kept = a[np.arange(len(bits)), :, bits, :]
-    return bits, kept.reshape(len(bits), -1) / np.sqrt(p)[:, None]
+    bits, s, b, p = _outcome(run, p0, u)
+    run.amps = a[s, :, b, :].reshape(len(s), -1) / np.sqrt(p)[:, None]
+    return bits
 
 
-def _measure_eq(amps, q, theta, u):
-    """Measure qubit q in the equator basis at theta, with outcome 1 (|theta +
-    pi>) where u >= P(0); return the bits and the renormalised register
-    without qubit q.  Only basis column 0, for P(0), and each round's chosen
-    column are contracted with the register."""
-    a = _split(amps, q)
-    b = len(a)
-    v = np.broadcast_to(np.conj(_basis_rot(theta)), (b, 2, 2))
-    c0 = np.matmul(v[:, None, None, :, 0], a).view(np.float64).reshape(b, -1)
-    p0 = np.einsum("bi,bi->b", c0, c0)
-    bits = (u >= p0).astype(np.int64)
-    p = np.where(bits == 0, p0, 1.0 - p0)
-    w = v[np.arange(b), :, bits] / np.sqrt(p)[:, None]
-    return bits, np.matmul(w[:, None, None, :], a).reshape(b, -1)
+def _measure_eq(run, q, theta, u):
+    """Measure qubit q in the equator basis at theta (one angle, or one per
+    state), outcome 1 being |theta + pi>; keep one renormalised register
+    without qubit q per (state, outcome) pair, and return the rounds'
+    outcomes.  Only basis column 0, for P(0), and each pair's column are
+    contracted with the register."""
+    a = _split(run.amps, q)
+    v = np.broadcast_to(np.conj(_basis_rot(theta)), (len(a), 2, 2))
+    c0 = np.matmul(v[:, None, None, :, 0], a).view(np.float64).reshape(len(a), -1)
+    bits, s, b, p = _outcome(run, np.einsum("bi,bi->b", c0, c0), u)
+    w = v[s, :, b] / np.sqrt(p)[:, None]
+    # as many pairs as states means each state kept its place: no gathered
+    # copy of the register
+    run.amps = np.matmul(w[:, None, None, :], a if len(s) == len(a) else a[s]).reshape(len(s), -1)
+    return bits
 
 
 def _insert(amps, q, kets):
@@ -113,16 +138,16 @@ def _insert(amps, q, kets):
 
 
 class _Rounds:
-    """A chunk of rounds in flight: the register ``amps``, the records
-    (angles, key bits, Eve's guesses), and the unused draws.  ``layout`` holds
-    the labels of the prepared register, lowest qubit first, and ``qubits``
-    those of the qubits not yet measured."""
+    """A chunk of rounds of scenario ``sc`` in flight: the frame register
+    ``amps``, one row per distinct state, each round's state ``idx``, the
+    records (angles, key bits, Eve's guesses), and the unused draws.
+    ``qubits`` holds the labels of the qubits not yet measured, lowest
+    first."""
 
-    def __init__(self, u, attack, layout):
-        self.draws, self.attack, self.rec = iter(u.T), attack, {}
-        self.layout, self.qubits = layout, list(layout)
-        # prepared: the register after the gates, kept for the Helstrom step
-        self.amps = self.prepared = None
+    def __init__(self, u, sc, attack):
+        self.draws, self.sc, self.attack, self.rec = iter(u.T), sc, attack, {}
+        self.qubits = list(sc.layout)
+        self.amps, self.idx = None, np.zeros(len(u), dtype=np.int64)
 
     def draw(self):
         return next(self.draws)
@@ -141,54 +166,61 @@ class _Rounds:
 _LEGS = ((0.0, "cx"), (np.pi / 2, "cy"), (0.0, "cx"), (np.pi / 2, "cy"))
 
 
+def _eve_angle(run, travel, shift):
+    """Eve's basis angle on a leg, gamma + shift, in the frame of the travel
+    qubit: one angle per round, as a channel kind holds one state per round."""
+    return run.attack["gamma"] + shift - run.rec[run.sc.kets[travel]]
+
+
 def _intercept(run, travel, shift, overlap):
     """Measure the travel qubit in Eve's basis and resend the state she found."""
-    theta = run.attack["gamma"] + shift
-    bits, rest = _measure_eq(run.amps, travel, theta, run.draw())
-    run.amps = _insert(rest, travel, _basis_rot(theta)[:, bits].T)
+    theta = _eve_angle(run, travel, shift)
+    bits = _measure_eq(run, travel, theta, run.draw())
+    run.amps = _insert(run.amps, travel, _basis_rot(theta)[np.arange(len(bits)), :, bits])
 
 
 def _entangle(run, travel, shift, overlap):
     """Append Eve's ancilla, fresh in |0>, on top: psi|0> becomes
     psi|0> + (P psi)((c - 1)|0> + sqrt(1 - c^2)|1>), with P = |v><v| the
-    projector onto v = |theta + pi> on the travel qubit, theta = gamma + shift
-    and c the leg's overlap.  Only the |theta + pi> branch moves the ancilla.
-    P is applied as a rank-one operator: the travel qubit is contracted with
-    v^+ once, and both ancilla halves are written into one new register."""
+    projector onto v = |theta + pi> on the travel qubit, theta Eve's basis
+    angle and c the leg's overlap.  Only the |theta + pi> branch moves the
+    ancilla.  P is applied as a rank-one operator: the travel qubit is
+    contracted with v^+ once, and both ancilla halves are written into one
+    new register."""
     c = run.attack[overlap]
-    v = _basis_rot(run.attack["gamma"] + shift)[:, 1]
+    v = _basis_rot(_eve_angle(run, travel, shift))[:, :, 1]
     a = _split(run.amps, travel)
     b, pre, _, post = a.shape
-    w = np.einsum("i,bpiq->bpq", v.conj(), a)[:, :, None, :]     # v^+ psi
+    w = np.matmul(v.conj()[:, None, None, :], a)                 # v^+ psi
+    v = v[:, None, :, None]
     out = np.empty((b, 2, pre, 2, post), dtype=np.complex128)
-    np.multiply(w, ((c - 1.0) * v)[:, None], out=out[:, 0])
+    np.multiply(w, (c - 1.0) * v, out=out[:, 0])
     out[:, 0] += a
-    np.multiply(w, (np.sqrt(max(0.0, 1.0 - c * c)) * v)[:, None], out=out[:, 1])
+    np.multiply(w, np.sqrt(max(0.0, 1.0 - c * c)) * v, out=out[:, 1])
     run.amps = out.reshape(b, -1)
 
 
 # -- readout steps -----------------------------------------------------------
 
-def _eq(run, label, angle):
-    """Measure travel qubit ``label`` in its own basis; record its odd key bit
-    (+1 is 1)."""
+def _eq(run, label):
+    """Measure travel qubit ``label`` in its own basis, at angle 0 in the
+    frame; record its odd key bit (+1 is 1)."""
     q = run.drop(label)
-    bits, run.amps = _measure_eq(run.amps, q, run.rec[angle], run.draw())
-    run.rec[label] = 1 - bits
+    run.rec[label] = 1 - _measure_eq(run, q, 0.0, run.draw())
 
 
 def _z(run, label):
     """Measure home qubit ``label``; record its even key bit (up is key 0)."""
     q = run.drop(label)
-    run.rec[label], run.amps = _measure(run.amps, q, run.draw())
+    run.rec[label] = _measure(run, q, run.draw())
 
 
 def _flip(run, label, cond):
     """Bob's step 9: NOT on his home qubit ``label`` when his odd key bit
     ``cond`` is 1."""
-    a = _split(run.amps, run.qubits.index(label))
-    run.amps = np.where((run.rec[cond] == 1)[:, None, None, None],
-                        a[:, :, ::-1, :], a).reshape(run.amps.shape)
+    s, flip = _regroup(run, run.rec[cond])
+    a = _split(run.amps, run.qubits.index(label))[s]
+    run.amps = np.where(flip[:, None, None, None] == 1, a[:, :, ::-1], a).reshape(len(s), -1)
 
 
 def _povm(run):
@@ -204,67 +236,44 @@ def _povm(run):
     for v, label in ((v_ef, "guess_bob"), (v_pp, "guess_alice")):
         nrm = np.einsum("bi,bi->b", v.conj(), v).real
         p_up = np.clip(np.einsum("bi,ij,bj->b", v.conj(), m_up, v).real / nrm, 0.0, 1.0)
-        run.rec[label] = (run.draw() >= p_up).astype(np.int64)
+        run.rec[label] = (run.draw() >= p_up[run.idx]).astype(np.int64)
 
 
-# a pivot of rho_0 + rho_1 with less weight than this is roundoff: the states
-# have trace 1, and the real kinds leave about 1e-16 once their rank is spent
-_RANK_TOL = 1e-12
+@lru_cache(maxsize=None)
+def _eve_helstrom(n, gates, c):
+    """Eve's Helstrom measurement in the frame, for an n-qubit kind with QFR
+    gates ``gates``, the homes below position c, C at c, D just above C and
+    her four photons on top.
 
-
-def _range_basis(g):
-    """An orthonormal basis (rounds, n, r) of the range of each round's PSD
-    matrix g, from a Cholesky factorisation with diagonal pivoting run over
-    the whole chunk.  It stops once every round's largest remaining diagonal
-    entry is below _RANK_TOL, so r is the chunk's largest rank; a round of
-    lower rank gets zero columns, which the QR completes orthonormally."""
-    rows = np.arange(len(g))
-    d = np.einsum("bii->bi", g).real
-    cols = []
-    for _ in range(g.shape[1]):
-        p = np.argmax(d, axis=1)
-        top = d[rows, p]
-        live = top > _RANK_TOL
-        if not live.any():
-            break
-        col = g[rows, :, p]                            # column p of the residual
-        for c in cols:
-            col = col - c * c[rows, p, None].conj()
-        col = col * (live / np.sqrt(np.where(live, top, 1.0)))[:, None]
-        d = d - (col.real ** 2 + col.imag ** 2)
-        cols.append(col)
-    return np.linalg.qr(np.stack(cols, axis=2))[0]
+    Her states given C = D = bit are R_E rho_bit R_E^+, with R_E the rotation
+    by her photons' angles and rho_bit from the frame register
+    2**(-n/2) * ``_qfr_phases(n, gates)``, C and D read at angle 0; bit 0 is
+    key 1.  So the trace distance between them and the positive eigenspace of
+    rho_0 - rho_1 in the frame, one eigh in her 16 dimensions, are constants
+    of the kind.  Returns the trace distance and that eigenspace's basis,
+    conjugated, (16, k), read-only."""
+    prep = _qfr_phases(n, gates).reshape(-1, 2, 2, 1 << c)    # (eve, D, C, homes)
+    rho = []
+    for s in (1, -1):                                    # <0| or <pi| on both C and D
+        m = prep[:, 0, 0] + s * (prep[:, 0, 1] + prep[:, 1, 0]) + prep[:, 1, 1]
+        r = m @ m.conj().T
+        rho.append(r / np.trace(r).real)
+    vals, vecs = np.linalg.eigh(rho[0] - rho[1])
+    up = vecs[:, vals > 1e-9].conj()
+    up.flags.writeable = False
+    return 0.5 * float(np.sum(np.abs(vals))), up
 
 
 def _helstrom(run):
     """Eve's Helstrom measurement on her four stolen photons between her
-    states given the shared odd key bit.  In the prepared register D sits just
-    above C, the homes below C, and Eve's photons on top.
-
-    Eve's state given C = D = bit is rho_bit = M_bit M_bit^+ over its trace,
-    with M_bit the block (Eve, homes) contracted from the prepared register
-    with the conjugated alpha and beta basis columns; bit 0 is key 1.  The
-    Helstrom operator rho_{K=1} - rho_{K=0} = rho_0 - rho_1 is solved on the
-    rank of Eve's states: eigh of Q^+ (rho_0 - rho_1) Q, with Q an orthonormal
-    basis of the range of rho_0 + rho_1 (``_range_basis``; r = 4 of her 16
-    dimensions in both real kinds), and the eigenvectors mapped back through
-    Q.  There is no solve in her full 16 dimensions."""
-    rec, (b, dim) = run.rec, run.amps.shape
-    h = 1 << run.layout.index("C")
-    # (bit, eve, homes): one contraction of the DC axis for both bits
-    prep = run.prepared.reshape(b, dim, 4, h).swapaxes(1, 2).reshape(b, 4, dim * h)
-    va, vb = (np.conj(_basis_rot(rec[k])) for k in ("alpha", "beta"))
-    coef = (vb[:, :, None, :] * va[:, None, :, :]).reshape(b, 4, 2)
-    blocks = (coef.swapaxes(1, 2) @ prep).reshape(b, 2, dim, h)
-    grams = blocks @ blocks.conj().swapaxes(2, 3)      # (b, bit, dim, dim); bit 0 <=> key 1
-    grams /= np.einsum("bkii->bk", grams).real[:, :, None, None]
-    q = _range_basis(grams[:, 0] + grams[:, 1])
-    vals, w = np.linalg.eigh(q.conj().swapaxes(1, 2) @ (grams[:, 0] - grams[:, 1]) @ q)
-    vecs = q @ w
-    rec["trace_dist"] = 0.5 * np.sum(np.abs(vals), axis=1)
-    proj = np.einsum("bjk,bj->bk", vecs.conj(), run.amps)
-    p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
-    rec["guess"] = (run.draw() < p1).astype(np.int64)
+    states given the shared odd key bit, solved once per kind
+    (``_eve_helstrom``): her P(guess key 1) is one projection of each state
+    of her frame register."""
+    sc = run.sc
+    t, up = _eve_helstrom(len(sc.layout), sc.gates, sc.layout.index("C"))
+    p1 = np.clip(np.sum(np.abs(run.amps @ up) ** 2, axis=1), 0.0, 1.0)
+    run.rec["trace_dist"] = np.full(len(run.idx), t)
+    run.rec["guess"] = (run.draw() < p1[run.idx]).astype(np.int64)
 
 
 # -- the scenario table --------------------------------------------------------
@@ -303,7 +312,7 @@ class Scenario:
 _NONE = Scenario(
     draws=6, layout=("A", "B", "C", "D"), kets=("home", "home", "alpha", "beta"),
     gates=((0, 2), (1, 2), (1, 3), (0, 3)),                 # steps 3, 4, 6, 7
-    readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_flip, "B", "D"),
+    readout=((_eq, "C"), (_eq, "D"), (_flip, "B", "D"),
              (_z, "A"), (_z, "B")))
 
 # PNS pulses carry two extra photons: Eve takes E1 on the outbound and E2 on
@@ -323,7 +332,7 @@ SCENARIOS = {
         draws=9, layout=("A", "B", "E", "C", "D", "E'"),
         kets=("home", "home", "home", "alpha", "beta", "epsilon"),
         gates=((0, 3), (2, 3), (1, 4), (2, 4), (2, 5), (0, 5)),
-        readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_eq, "E'", "epsilon"),
+        readout=((_eq, "C"), (_eq, "D"), (_eq, "E'"),
                  (_flip, "B", "D"), (_z, "A"), (_z, "B"), (_z, "E")),
         eve=("E'", "E'"), eve_key="k_alice_odd"),
     # Eve runs a full protocol with each party (copy 0 with Alice, 1 with Bob)
@@ -335,7 +344,7 @@ SCENARIOS = {
         kets=("home", "home") + _PULSE_KETS,
         gates=((0, 2), (0, 4), (0, 5), (1, 2), (1, 5),
                (1, 3), (1, 6), (1, 7), (0, 3), (0, 7)),
-        readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_flip, "B", "D"),
+        readout=((_eq, "C"), (_eq, "D"), (_flip, "B", "D"),
                  (_z, "A"), (_z, "B"), (_helstrom,)),
         eve=("guess", "guess"), eve_key="k_alice_odd"),
     "pns:4home": Scenario(
@@ -345,7 +354,7 @@ SCENARIOS = {
                (2, 4), (3, 4), (2, 7), (3, 7),
                (2, 5), (3, 5), (2, 8), (3, 8), (2, 9), (3, 9),
                (0, 5), (1, 5), (0, 9), (1, 9)),
-        readout=((_eq, "C", "alpha"), (_eq, "D", "beta"), (_z, "A1"),
+        readout=((_eq, "C"), (_eq, "D"), (_z, "A1"),
                  (_z, "A2"), (_z, "B1"), (_z, "B2"), (_helstrom,)),
         roles=("alpha", "beta", "C", "D", "A1", "B1"), eve=("guess", "guess"),
         even_key=False, eve_key="k_alice_odd"),
@@ -353,28 +362,25 @@ SCENARIOS = {
 
 
 def _run(sc, u, attack):
-    """One chunk of rounds: draw the angles, build the product state, apply
-    the gates and run the readout.  Only the drawn-angle qubits are built per
-    round, on a register of 2**(n - homes) amplitudes; one broadcast multiply
-    by the cached ``_home_table`` adds the homes (the lowest qubits) and,
-    without a ``channel``, the whole gate list's QFR diagonal.  With one, each
-    leg's gate is a multiply by its own diagonal (``_qfr_phases``) before the
-    channel operation.  An equator readout contracts the register with one
-    basis column per round (``_measure_eq``), never rotating the whole
-    register."""
-    run = _Rounds(u, attack, sc.layout)
+    """One chunk of rounds: draw the angles, prepare the frame register, apply
+    the gates and run the readout.  Without a ``channel`` the prepared frame
+    register is one state: the whole gate list's cached QFR diagonal times
+    2**(-n/2).  With one, every round gets its own state, and each leg's gate
+    is a multiply by its own diagonal (``_qfr_phases``) before the channel
+    operation."""
+    run = _Rounds(u, sc, attack)
     for name in dict.fromkeys(k for k in sc.kets if k != "home"):
         run.rec[name] = 2.0 * np.pi * run.draw()
-    homes = sc.kets.count("home")
-    drawn = np.ones((len(u), 1), dtype=np.complex128)
-    for q, k in enumerate(sc.kets[homes:]):             # lowest index bit first
-        drawn = _insert(drawn, q, _basis_rot(run.rec[k])[..., 0])
-    table = _home_table(len(sc.kets), homes, () if sc.channel else sc.gates)
-    run.amps = (drawn[:, :, None] * table).reshape(len(u), -1)
-    for leg, gate in enumerate(sc.gates if sc.channel else ()):
-        run.amps *= _qfr_phases(_nq(run.amps), (gate,))
-        sc.channel(run, gate[1], *_LEGS[leg])
-    run.prepared = run.amps
+    n = len(sc.kets)
+    run.amps = np.full((1, 1 << n), 2.0 ** (-n / 2), dtype=np.complex128)
+    if sc.channel:
+        # a channel operation's angle is per round
+        run.amps, run.idx = run.amps[run.idx], np.arange(len(u))
+        for leg, gate in enumerate(sc.gates):
+            run.amps *= _qfr_phases(_nq(run.amps), (gate,))
+            sc.channel(run, gate[1], *_LEGS[leg])
+    else:
+        run.amps *= _qfr_phases(n, sc.gates)
     for step, *args in sc.readout:
         step(run, *args)
     if next(run.draws, None) is not None:
@@ -400,16 +406,17 @@ def protocol_rounds(u, attack=None):
     (``gamma``; ``cx``, ``cy`` and ``povm_up`` for ``general``).  Returns the
     public columns and every readout record.
 
-    Rows run in chunks of at most ``CHUNK``, and at most ``_CHUNK_BYTES`` of
-    the scenario's full register: 128 rows for pns:4home (10 qubits), 512 for
-    pns:3 and general (8), ``CHUNK`` for the rest.  Every row is computed on
-    its own, so the chunk size changes no public column."""
+    Rows run in chunks of at most ``CHUNK``.  A kind with a channel operation
+    holds a register per row, so its chunk also holds at most ``_CHUNK_BYTES``
+    of register: 512 rows for general (8 qubits); a kind without one holds at
+    most 2**n amplitudes over all its states.  Every row is computed on its
+    own, so the chunk size changes no public column."""
     attack = attack or {"kind": "none"}
     sc = SCENARIOS[attack["kind"]]
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
         raise ValueError(f"{attack['kind']} needs rounds of {sc.draws} draws, got shape {u.shape}")
     rows = u.reshape(-1, sc.draws // sc.copies)          # copies run as consecutive rows
-    size = min(CHUNK, _CHUNK_BYTES // (16 << len(sc.layout)))
+    size = min(CHUNK, _CHUNK_BYTES // (16 << len(sc.layout))) if sc.channel else CHUNK
     chunks = [_run(sc, rows[lo:lo + size], attack) for lo in range(0, len(rows), size)]
     rec = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     if sc.copies > 1:

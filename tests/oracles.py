@@ -307,3 +307,71 @@ def pns4_state(alpha, beta):
                         [z[a1], z[a2], z[b1], z[b2], eq_ket(ac), eq_ket(ad),
                          eq_ket(ae1), eq_ket(ae2), eq_ket(be1), eq_ket(be2)])
     return out
+
+
+# -- Eve's PNS Helstrom step, solved per round in the lab frame ----------------
+
+# a pivot of rho_0 + rho_1 with less weight than this is roundoff: the states
+# have trace 1, and the real kinds leave about 1e-16 once their rank is spent
+RANK_TOL = 1e-12
+
+
+def range_basis(g):
+    """An orthonormal basis (rounds, n, r) of the range of each round's PSD
+    matrix g, from a Cholesky factorisation with diagonal pivoting run over
+    the whole chunk.  It stops once every round's largest remaining diagonal
+    entry is below RANK_TOL, so r is the chunk's largest rank; a round of
+    lower rank gets zero columns, which the QR completes orthonormally."""
+    rows = np.arange(len(g))
+    d = np.einsum("bii->bi", g).real
+    cols = []
+    for _ in range(g.shape[1]):
+        p = np.argmax(d, axis=1)
+        top = d[rows, p]
+        live = top > RANK_TOL
+        if not live.any():
+            break
+        col = g[rows, :, p]                            # column p of the residual
+        for c in cols:
+            col = col - c * c[rows, p, None].conj()
+        col = col * (live / np.sqrt(np.where(live, top, 1.0)))[:, None]
+        d = d - (col.real ** 2 + col.imag ** 2)
+        cols.append(col)
+    return np.linalg.qr(np.stack(cols, axis=2))[0]
+
+
+def eq_columns(theta):
+    """(rounds, 2, 2): columns |theta> and |theta + pi> for each angle."""
+    e = np.exp(1j * np.asarray(theta, dtype=float))
+    v = np.empty(e.shape + (2, 2), dtype=complex)
+    v[..., 0, :] = 1.0 / SQ2
+    v[..., 1, 0] = e / SQ2
+    v[..., 1, 1] = -e / SQ2
+    return v
+
+
+def helstrom_lab(prepared, eve, alpha, beta, c):
+    """Eve's PNS Helstrom step solved per round in the lab frame, from each
+    round's own angles: the trace distance between her states given C = D = bit
+    and her P(guess key 1) on ``eve``, her register at readout.
+
+    ``prepared`` (rounds, 2**n) is the register after the gates, with the
+    homes below position c, C at c, D just above it and Eve's 16 dimensions
+    on top.  Her state given C = D = bit is rho_bit = M_bit M_bit^+ over its
+    trace, with M_bit the block (Eve, homes) contracted with the conjugated
+    alpha and beta basis columns; bit 0 is key 1.  rho_0 - rho_1 is solved on
+    the rank of her states: eigh of Q^+ (rho_0 - rho_1) Q, with Q a basis of
+    the range of rho_0 + rho_1 (``range_basis``)."""
+    b, dim = eve.shape
+    h = 1 << c
+    prep = prepared.reshape(b, dim, 4, h).swapaxes(1, 2).reshape(b, 4, dim * h)
+    va, vb = np.conj(eq_columns(alpha)), np.conj(eq_columns(beta))
+    coef = (vb[:, :, None, :] * va[:, None, :, :]).reshape(b, 4, 2)
+    blocks = (coef.swapaxes(1, 2) @ prep).reshape(b, 2, dim, h)
+    grams = blocks @ blocks.conj().swapaxes(2, 3)      # (b, bit, dim, dim)
+    grams /= np.einsum("bkii->bk", grams).real[:, :, None, None]
+    q = range_basis(grams[:, 0] + grams[:, 1])
+    vals, w = np.linalg.eigh(q.conj().swapaxes(1, 2) @ (grams[:, 0] - grams[:, 1]) @ q)
+    proj = np.einsum("bjk,bj->bk", (q @ w).conj(), eve)
+    p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
+    return 0.5 * np.sum(np.abs(vals), axis=1), p1

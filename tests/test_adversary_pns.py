@@ -1,10 +1,11 @@
 """Photon-number-splitting attacks: state construction, collapsed branches,
-Bell-pairing structure, and what Eve's stolen photons reveal, measured by
-``batch.protocol_rounds`` on the per-round Philox streams."""
+Bell-pairing structure, what Eve's stolen photons reveal, measured by
+``batch.protocol_rounds`` on the per-round Philox streams, and how much she
+can learn with and without the angles."""
 import numpy as np
 import pytest
 
-from faraday_qkd import batch, harness, pns_build
+from faraday_qkd import adversary, batch, harness, pns_build
 from faraday_qkd import qstate as qs
 
 from oracles import eq_ket, fid, kron_le, pns3_state, pns4_state
@@ -141,3 +142,52 @@ class TestLeakage:
         assert np.all(cols["k_alice_odd"] == cols["k_bob_odd"])
         assert np.min(cols["trace_dist"]) == pytest.approx(1.0, abs=1e-9)
         assert np.mean(cols["trace_dist"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def _eve_states(kind, alpha, beta):
+    """Eve's states given C = D = bit, bit 0 (key 1) then bit 1, from the
+    scalar build of the kind's register at (alpha, beta): C and D contracted
+    with their basis columns, the homes traced out."""
+    sc = batch.SCENARIOS[kind]
+    c = sc.layout.index("C")
+    amps = adversary._prepared_state(kind, alpha=alpha, beta=beta).amplitudes
+    amps = amps.reshape(16, 2, 2, 1 << c)                # (eve, D, C, homes)
+    out = []
+    for bit in (0, 1):
+        m = np.einsum("d,c,edch->eh", eq_ket(beta + bit * np.pi).conj(),
+                      eq_ket(alpha + bit * np.pi).conj(), amps)
+        r = m @ m.conj().T
+        out.append(r / np.trace(r).real)
+    return out
+
+
+def _trace_distance(states):
+    return qs.trace_distance(*(qs.DensityMatrix(16, rho) for rho in states))
+
+
+@pytest.mark.parametrize("kind", ["pns:3", "pns:4home"])
+class TestWhatEveCanLearn:
+    """Eve's states given the key are R_E rho_bit R_E^+, with rho_bit her
+    frame states (the register at alpha = beta = 0) and R_E the rotation of
+    her photons by their angles.  Knowing the angles she undoes R_E: T = 1.
+    Not knowing them, she holds the states averaged over alpha and beta,
+    which keeps only the entries between basis states of equal alpha-charge
+    and equal beta-charge (how many of her alpha and beta photons are |1>):
+    T = 0.25."""
+
+    def test_known_angle_trace_distance(self, kind):
+        assert _trace_distance(_eve_states(kind, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_angle_averaged_trace_distance(self, kind):
+        kets = batch.SCENARIOS[kind].kets[-4:]
+        bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        charge = [bits[:, [k == name for k in kets]].sum(axis=1) for name in ("alpha", "beta")]
+        same = np.logical_and(*(q[:, None] == q[None, :] for q in charge))
+        t = _trace_distance([rho * same for rho in _eve_states(kind, 0.0, 0.0)])
+        assert t == pytest.approx(0.25, abs=1e-9)
+        # charge differences are at most 2, so a 16-point midpoint rule per
+        # angle averages the lab states exactly
+        grid = 2 * np.pi * (np.arange(16) + 0.5) / 16
+        lab = [sum(states) / grid.size ** 2 for states in
+               zip(*(_eve_states(kind, a, b) for a in grid for b in grid))]
+        assert _trace_distance(lab) == pytest.approx(t, abs=1e-12)

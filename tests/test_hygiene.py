@@ -1,7 +1,8 @@
 """Two ``ast`` walks.  Every name a module imports is used, over the package
 (except ``__init__``, whose imports are its public re-exports) and the tests.
-Every public top-level name of the package is read by the package or by the
-benchmark, not only by the tests."""
+Every top-level name of the package, public or private, is read by the
+package or by the benchmark, not only by the tests: code that only tests
+read is a second path to keep in step."""
 import ast
 from pathlib import Path
 
@@ -58,7 +59,7 @@ def names_read(tree, strings=False) -> set:
     return out
 
 
-def public_names(tree):
+def top_level_names(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -68,14 +69,24 @@ def public_names(tree):
             targets = [node.target.id]
         else:
             continue
-        yield from (name for name in targets if not name.startswith("_"))
+        yield from targets
 
 
-def test_public_names_have_a_reader():
+def unread_names(private):
+    """(module, name) of the package's top-level names, private or public,
+    that neither the package nor the benchmark reads."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
     read = set().union(*(names_read(ast.parse(p.read_text(encoding="utf-8")), strings=True)
                          for p in (ROOT / "perfbench").glob("*.py")))
     read |= set().union(*map(names_read, trees.values()))
-    unread = [(module, name) for module, tree in trees.items() if not module.startswith("__")
-              for name in public_names(tree) if name not in read]
-    assert sorted(set(unread) - TEST_FACING) == []
+    return {(module, name) for module, tree in trees.items() if not module.startswith("__")
+            for name in top_level_names(tree)
+            if name.startswith("_") == private and name not in read}
+
+
+def test_public_names_have_a_reader():
+    assert sorted(unread_names(private=False) - TEST_FACING) == []
+
+
+def test_private_names_have_a_reader():
+    assert sorted(unread_names(private=True)) == []
