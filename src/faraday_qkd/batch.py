@@ -1,4 +1,5 @@
-"""Vectorized Monte Carlo kernels: the scenario table and its one executor.
+"""Vectorized Monte Carlo kernels: the scenario table, each kind compiled once
+into a branch table, and the sampler that runs every round from it.
 
 Rounds are simulated in batches with the same little-endian register
 conventions and the same per-round draw order as the scalar engine in
@@ -10,23 +11,25 @@ of operations: a row of ``u`` gives the angles (2*pi times the uniform, in
 order of first use by the kets), then one uniform to each stochastic channel
 operation and readout step in turn, copy after copy.
 
-The executor works in the angle frame.  Every ket is an equator ket and
-every gate a diagonal QFR, so a round's register is R psi, with
-R = (x)_q diag(1, e^{i theta_q}) over the qubits' ket angles (0 for a home)
-and psi the frame register: at preparation, the kind's register at all-zero
-angles, the same for every round.  An operation on qubit q in the basis at
-angle phi acts on psi in the basis at phi - theta_q; a z readout, a NOT and
-a QFR commute with R.  The frame register holds distinct states, one row of
-``amps`` each, and ``idx`` gives each round's state.  A readout splits each
-state by the bits its rounds drew, so a kind without a channel operation
-holds at most 2**(readouts so far) states; a channel operation, whose angle
-is per round, gives every round its own.
+The physics runs once per call, on a branch tree in the angle frame.  Every
+ket is an equator ket and every gate a diagonal QFR, so a round's register
+is R psi, with R = (x)_q diag(1, e^{i theta_q}) over the qubits' ket angles
+(0 for a home) and psi the frame register, at preparation the kind's
+register at all-zero angles.  An operation on qubit q in the basis at angle
+phi acts on psi in the basis at phi - theta_q; a z readout, a NOT and a QFR
+commute with R.  A measurement splits branch b into its unnormalised
+projections 2b and 2b + 1 and draws nothing; each draw is a step whose
+numerator over denominator is P(outcome 0 | branch).  Without a channel
+operation psi does not depend on the angles, so the tree runs at one point;
+with one, each numerator and denominator is a trig polynomial of degree 2 in
+alpha and beta, fixed by a 5 x 5 grid (``_compile``).  A round takes
+outcome 1 where its draw >= that ratio at its angles and branch
+(``_sample``).
 
-Gates and channel operations address the prepared register by position, in
-the order of ``Scenario.layout``; readout steps name qubits by their layout
-label.  A measured qubit leaves the register (an intercepting Eve puts back
-the state she found), so once the parties have read out, only Eve's own
-qubits are left.
+Gates and channel operations address the register by position, in the order
+of ``Scenario.layout``, Eve's ancillas on top; readout steps name qubits by
+label.  A measured qubit stays in the register, in the outcome's ket, so an
+intercepting Eve resends the state she found.
 """
 from __future__ import annotations
 
@@ -35,17 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
+# rows per sampler pass: it gathers (rows, 25) coefficient arrays per step
 CHUNK = 2048
-# a channel kind holds one register per round, so its chunk is also capped at
-# this many bytes of register: every kernel step streams through the
-# register, so it is kept about cache-sized
-_CHUNK_BYTES = 2 << 20
-
-_SQRT2 = np.sqrt(2.0)
-
-
-def _nq(amps):
-    return int(round(np.log2(amps.shape[1])))
 
 
 @lru_cache(maxsize=None)
@@ -58,105 +52,56 @@ def _qfr_phases(n, gates):
     return phases
 
 
-def _split(amps, q):
-    dim = amps.shape[1]
-    post = 1 << q
-    pre = dim >> (q + 1)
-    return amps.reshape(amps.shape[0], pre, 2, post)
+def _flipped(amps, q):
+    """``amps`` with qubit q's bit flipped in every index."""
+    return np.take(amps, np.arange(amps.shape[-1]) ^ (1 << q), axis=-1)
 
 
-def _basis_rot(theta):
-    """Columns |theta> and |theta + pi>; column 0 is the equator ket."""
-    theta = np.asarray(theta, dtype=np.float64)
-    e = np.exp(1j * theta)
-    v = np.empty(theta.shape + (2, 2), dtype=np.complex128)
-    v[..., 0, 0] = 1.0 / _SQRT2
-    v[..., 0, 1] = 1.0 / _SQRT2
-    v[..., 1, 0] = e / _SQRT2
-    v[..., 1, 1] = -e / _SQRT2
-    return v
+def _weight(amps, other=None):
+    """Each branch's probability ||psi_b||**2 at each point, or with
+    ``other``, Re <psi_b|other_b>."""
+    other = amps if other is None else other
+    return np.einsum("...i,...i->...", amps.view(np.float64), other.view(np.float64))
 
 
-def _regroup(run, bits):
-    """Split the states by the rounds' ``bits``: point each round at its
-    (state, bit) pair, the pairs some round took numbered in order, and
-    return those pairs' states and bits."""
-    # every state has a round, so as many states as rounds means one round
-    # each: every state keeps its place
-    if len(run.amps) == len(run.idx):
-        b = np.empty_like(bits)
-        b[run.idx] = bits
-        return np.arange(len(b)), b
-    key = 2 * run.idx + bits
-    taken = np.zeros(2 * len(run.amps), dtype=bool)
-    taken[key] = True
-    run.idx = (np.cumsum(taken) - 1)[key]
-    pairs = np.flatnonzero(taken)
-    return pairs >> 1, pairs & 1
+class _Tree:
+    """A kind's branches at angle points: ``amps`` (points, branches,
+    2**qubits); each branch's recorded ``bits``; ``steps``, one (record,
+    invert, splits, numerator, denominator) per draw after the angles, the
+    last two per (point, branch); ``fixed``, the constant records."""
+
+    def __init__(self, sc, attack, angles):
+        self.sc, self.attack, self.angles = sc, attack, angles
+        self.amps, self.bits, self.steps, self.fixed = None, {}, [], {}
 
 
-def _outcome(run, p0, u):
-    """Each round takes outcome 1 where its draw u >= its state's P(0), which
-    is computed once per state.  Returns the rounds' outcomes and the
-    (state, outcome) pairs some round took, with their probabilities."""
-    bits = (u >= p0[run.idx]).astype(np.int64)
-    s, b = _regroup(run, bits)
-    return bits, s, b, np.where(b == 0, p0[s], 1.0 - p0[s])
+def _project(amps, q, theta=None):
+    """Each branch's projections onto the outcomes 0 and 1 of qubit q,
+    (points, branches, outcome, 2**qubits): in z, the amplitudes whose bit q
+    is the outcome; in the equator basis at theta (one angle, or one per
+    point), (psi +- O psi) / 2 with O = e^{-i theta}|0><1| + e^{i theta}|1><0|,
+    whose outcome 1 is |theta + pi>."""
+    bit = (np.arange(amps.shape[-1]) >> q) & 1
+    if theta is None:
+        return amps[:, :, None] * (bit == np.arange(2)[:, None])
+    phase = np.exp(1j * np.asarray(theta)[..., None] * (2 * bit - 1))[..., None, :]
+    o_psi = phase * _flipped(amps, q)
+    kids = np.stack([o_psi, -o_psi], axis=2)
+    kids += amps[:, :, None]
+    kids *= 0.5
+    return kids
 
 
-def _measure(run, q, u):
-    """Measure qubit q in z; keep one renormalised register without qubit q
-    per (state, outcome) pair, and return the rounds' outcomes."""
-    a = _split(run.amps, q)
-    p0 = np.einsum("bpiq->bi", np.abs(a) ** 2)[:, 0]
-    bits, s, b, p = _outcome(run, p0, u)
-    run.amps = a[s, :, b, :].reshape(len(s), -1) / np.sqrt(p)[:, None]
-    return bits
-
-
-def _measure_eq(run, q, theta, u):
-    """Measure qubit q in the equator basis at theta (one angle, or one per
-    state), outcome 1 being |theta + pi>; keep one renormalised register
-    without qubit q per (state, outcome) pair, and return the rounds'
-    outcomes.  Only basis column 0, for P(0), and each pair's column are
-    contracted with the register."""
-    a = _split(run.amps, q)
-    v = np.broadcast_to(np.conj(_basis_rot(theta)), (len(a), 2, 2))
-    c0 = np.matmul(v[:, None, None, :, 0], a).view(np.float64).reshape(len(a), -1)
-    bits, s, b, p = _outcome(run, np.einsum("bi,bi->b", c0, c0), u)
-    w = v[s, :, b] / np.sqrt(p)[:, None]
-    # as many pairs as states means each state kept its place: no gathered
-    # copy of the register
-    run.amps = np.matmul(w[:, None, None, :], a if len(s) == len(a) else a[s]).reshape(len(s), -1)
-    return bits
-
-
-def _insert(amps, q, kets):
-    """The register with a new qubit q in ``kets``: one ket, or one per round."""
-    a = amps.reshape(len(amps), -1, 1, 1 << q)
-    return (np.reshape(kets, (-1, 1, 2, 1)) * a).reshape(len(amps), -1)
-
-
-class _Rounds:
-    """A chunk of rounds of scenario ``sc`` in flight: the frame register
-    ``amps``, one row per distinct state, each round's state ``idx``, the
-    records (angles, key bits, Eve's guesses), and the unused draws.
-    ``qubits`` holds the labels of the qubits not yet measured, lowest
-    first."""
-
-    def __init__(self, u, sc, attack):
-        self.draws, self.sc, self.attack, self.rec = iter(u.T), sc, attack, {}
-        self.qubits = list(sc.layout)
-        self.amps, self.idx = None, np.zeros(len(u), dtype=np.int64)
-
-    def draw(self):
-        return next(self.draws)
-
-    def drop(self, label):
-        """The position of qubit ``label``, which leaves the labels."""
-        q = self.qubits.index(label)
-        del self.qubits[q]
-        return q
+def _measure(tree, q, theta=None, record=None, invert=False):
+    """Measure qubit q (as ``_project``): branch b splits into 2b and 2b + 1,
+    and the step gives outcome 1 at draw >= P(0), recorded as ``record`` (its
+    complement with ``invert``)."""
+    kids = _project(tree.amps, q, theta)
+    tree.steps.append((record, invert, True, _weight(kids[:, :, 0]), _weight(tree.amps)))
+    tree.amps = kids.reshape(len(kids), -1, kids.shape[3])
+    tree.bits = {k: np.repeat(v, 2) for k, v in tree.bits.items()}
+    if record:
+        tree.bits[record] = np.tile([1, 0] if invert else [0, 1], kids.shape[1])
 
 
 # -- channel operations: Eve on one leg, after the gate that sent the qubit --
@@ -166,77 +111,60 @@ class _Rounds:
 _LEGS = ((0.0, "cx"), (np.pi / 2, "cy"), (0.0, "cx"), (np.pi / 2, "cy"))
 
 
-def _eve_angle(run, travel, shift):
+def _eve_angle(tree, travel, shift):
     """Eve's basis angle on a leg, gamma + shift, in the frame of the travel
-    qubit: one angle per round, as a channel kind holds one state per round."""
-    return run.attack["gamma"] + shift - run.rec[run.sc.kets[travel]]
+    qubit: one angle per point."""
+    return tree.attack["gamma"] + shift - tree.angles[tree.sc.kets[travel]]
 
 
-def _intercept(run, travel, shift, overlap):
-    """Measure the travel qubit in Eve's basis and resend the state she found."""
-    theta = _eve_angle(run, travel, shift)
-    bits = _measure_eq(run, travel, theta, run.draw())
-    run.amps = _insert(run.amps, travel, _basis_rot(theta)[np.arange(len(bits)), :, bits])
+def _intercept(tree, travel, shift, overlap):
+    """Measure the travel qubit in Eve's basis; it stays in the state she
+    found, which she resends."""
+    _measure(tree, travel, _eve_angle(tree, travel, shift))
 
 
-def _entangle(run, travel, shift, overlap):
+def _entangle(tree, travel, shift, overlap):
     """Append Eve's ancilla, fresh in |0>, on top: psi|0> becomes
     psi|0> + (P psi)((c - 1)|0> + sqrt(1 - c^2)|1>), with P = |v><v| the
     projector onto v = |theta + pi> on the travel qubit, theta Eve's basis
     angle and c the leg's overlap.  Only the |theta + pi> branch moves the
-    ancilla.  P is applied as a rank-one operator: the travel qubit is
-    contracted with v^+ once, and both ancilla halves are written into one
-    new register."""
-    c = run.attack[overlap]
-    v = _basis_rot(_eve_angle(run, travel, shift))[:, :, 1]
-    a = _split(run.amps, travel)
-    b, pre, _, post = a.shape
-    w = np.matmul(v.conj()[:, None, None, :], a)                 # v^+ psi
-    v = v[:, None, :, None]
-    out = np.empty((b, 2, pre, 2, post), dtype=np.complex128)
-    np.multiply(w, (c - 1.0) * v, out=out[:, 0])
-    out[:, 0] += a
-    np.multiply(w, np.sqrt(max(0.0, 1.0 - c * c)) * v, out=out[:, 1])
-    run.amps = out.reshape(b, -1)
+    ancilla."""
+    c = tree.attack[overlap]
+    p_psi = _project(tree.amps, travel, _eve_angle(tree, travel, shift))[:, :, 1]
+    tree.amps = np.concatenate([tree.amps + (c - 1.0) * p_psi,
+                                np.sqrt(max(0.0, 1.0 - c * c)) * p_psi], axis=2)
 
 
 # -- readout steps -----------------------------------------------------------
 
-def _eq(run, label):
+def _eq(tree, label):
     """Measure travel qubit ``label`` in its own basis, at angle 0 in the
     frame; record its odd key bit (+1 is 1)."""
-    q = run.drop(label)
-    run.rec[label] = 1 - _measure_eq(run, q, 0.0, run.draw())
+    _measure(tree, tree.sc.layout.index(label), 0.0, label, invert=True)
 
 
-def _z(run, label):
+def _z(tree, label):
     """Measure home qubit ``label``; record its even key bit (up is key 0)."""
-    q = run.drop(label)
-    run.rec[label] = _measure(run, q, run.draw())
+    _measure(tree, tree.sc.layout.index(label), record=label)
 
 
-def _flip(run, label, cond):
-    """Bob's step 9: NOT on his home qubit ``label`` when his odd key bit
-    ``cond`` is 1."""
-    s, flip = _regroup(run, run.rec[cond])
-    a = _split(run.amps, run.qubits.index(label))[s]
-    run.amps = np.where(flip[:, None, None, None] == 1, a[:, :, ::-1], a).reshape(len(s), -1)
+def _flip(tree, label, cond):
+    """Bob's step 9: NOT on his home qubit ``label`` in each branch whose odd
+    key bit ``cond`` is 1."""
+    flip = (tree.bits[cond] == 1)[:, None]
+    tree.amps = np.where(flip, _flipped(tree.amps, tree.sc.layout.index(label)), tree.amps)
 
 
-def _povm(run):
+def _povm(tree):
     """Eve's two-outcome POVM, on her (E, F) pair to guess Bob's home bit,
-    then on (E', F') to guess Alice's."""
-    b = run.amps.shape[0]
-    m = run.amps.reshape(b, 4, 4)                      # axes: (E'F', EF)
-    # the two pairs are in a product state: take the largest row and column
-    p = np.abs(m) ** 2
-    v_ef = m[np.arange(b), np.argmax(np.sum(p, axis=2), axis=1), :]
-    v_pp = m[np.arange(b), :, np.argmax(np.sum(p, axis=1), axis=1)]
-    m_up = np.asarray(run.attack["povm_up"], dtype=np.complex128)
-    for v, label in ((v_ef, "guess_bob"), (v_pp, "guess_alice")):
-        nrm = np.einsum("bi,bi->b", v.conj(), v).real
-        p_up = np.clip(np.einsum("bi,ij,bj->b", v.conj(), m_up, v).real / nrm, 0.0, 1.0)
-        run.rec[label] = (run.draw() >= p_up[run.idx]).astype(np.int64)
+    then on (E', F') to guess Alice's: P(up) is tr((M_up (x) 1) rho_b), the
+    identity on her other pair, over tr(rho_b)."""
+    m_up = np.asarray(tree.attack["povm_up"], dtype=np.complex128)
+    psi = tree.amps
+    # M_up acts on the second-to-last axis: (E, F), then (E', F')
+    for label, shape in (("guess_bob", (4, 4, 16)), ("guess_alice", (4, 64))):
+        up = _weight(psi, (m_up @ psi.reshape(*psi.shape[:2], *shape)).reshape(psi.shape))
+        tree.steps.append((label, False, False, up, _weight(psi)))
 
 
 @lru_cache(maxsize=None)
@@ -264,16 +192,17 @@ def _eve_helstrom(n, gates, c):
     return 0.5 * float(np.sum(np.abs(vals))), up
 
 
-def _helstrom(run):
+def _helstrom(tree):
     """Eve's Helstrom measurement on her four stolen photons between her
     states given the shared odd key bit, solved once per kind
-    (``_eve_helstrom``): her P(guess key 1) is one projection of each state
-    of her frame register."""
-    sc = run.sc
+    (``_eve_helstrom``): her P(guess key 1) is the weight of each branch's
+    projection onto its positive eigenspace, over the branch's weight."""
+    sc = tree.sc
     t, up = _eve_helstrom(len(sc.layout), sc.gates, sc.layout.index("C"))
-    p1 = np.clip(np.sum(np.abs(run.amps @ up) ** 2, axis=1), 0.0, 1.0)
-    run.rec["trace_dist"] = np.full(len(run.idx), t)
-    run.rec["guess"] = (run.draw() < p1[run.idx]).astype(np.int64)
+    a = tree.amps.reshape(*tree.amps.shape[:2], 16, -1)      # Eve's photons on top
+    p1 = np.sum(np.abs(np.einsum("pbeh,ek->pbkh", a, up)) ** 2, axis=(2, 3))
+    tree.fixed["trace_dist"] = t
+    tree.steps.append(("guess", True, False, p1, _weight(tree.amps)))
 
 
 # -- the scenario table --------------------------------------------------------
@@ -361,31 +290,78 @@ SCENARIOS = {
 }
 
 
-def _run(sc, u, attack):
-    """One chunk of rounds: draw the angles, prepare the frame register, apply
-    the gates and run the readout.  Without a ``channel`` the prepared frame
-    register is one state: the whole gate list's cached QFR diagonal times
-    2**(-n/2).  With one, every round gets its own state, and each leg's gate
-    is a multiply by its own diagonal (``_qfr_phases``) before the channel
-    operation."""
-    run = _Rounds(u, sc, attack)
-    for name in dict.fromkeys(k for k in sc.kets if k != "home"):
-        run.rec[name] = 2.0 * np.pi * run.draw()
+def _angles(sc):
+    """The drawn ket angles, in order of first use."""
+    return tuple(dict.fromkeys(k for k in sc.kets if k != "home"))
+
+
+def _branches(sc, attack, angles):
+    """Kind ``sc``'s branch tree at the points ``angles`` (each drawn angle,
+    one value per point; none for one point): the frame register
+    2**(-n/2) times each gate's QFR diagonal, gate i followed by the
+    ``channel`` operation on leg i, then the readout."""
+    tree = _Tree(sc, attack, angles)
     n = len(sc.kets)
-    run.amps = np.full((1, 1 << n), 2.0 ** (-n / 2), dtype=np.complex128)
-    if sc.channel:
-        # a channel operation's angle is per round
-        run.amps, run.idx = run.amps[run.idx], np.arange(len(u))
-        for leg, gate in enumerate(sc.gates):
-            run.amps *= _qfr_phases(_nq(run.amps), (gate,))
-            sc.channel(run, gate[1], *_LEGS[leg])
-    else:
-        run.amps *= _qfr_phases(n, sc.gates)
+    points = max(map(len, angles.values()), default=1)
+    tree.amps = np.full((points, 1, 1 << n), 2.0 ** (-n / 2), dtype=np.complex128)
+    for leg, gate in enumerate(sc.gates):
+        tree.amps = tree.amps * _qfr_phases(tree.amps.shape[2].bit_length() - 1, (gate,))
+        if sc.channel:
+            sc.channel(tree, gate[1], *_LEGS[leg])
     for step, *args in sc.readout:
-        step(run, *args)
-    if next(run.draws, None) is not None:
+        step(tree, *args)
+    return tree
+
+
+def _freq(sc):
+    """Each angle's Fourier frequencies, in ``np.fft`` order: 0, 1, 2, -2, -1
+    with a ``channel``, as every step is a trig polynomial of degree 2 in
+    alpha and beta; 0 alone without one, as psi is then constant."""
+    return np.array([0, 1, 2, -2, -1] if sc.channel else [0])
+
+
+def _compile(sc, attack):
+    """Kind ``sc``'s branch table: its tree on the n x n grid of (alpha, beta),
+    n frequencies per angle, whose ``fft2`` gives each step's numerator and
+    denominator exactly, (branches, n**2) coefficients."""
+    n = len(_freq(sc))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    grid = np.meshgrid(theta, theta, indexing="ij")
+    tree = _branches(sc, attack, {k: g.ravel() for k, g in zip(("alpha", "beta"), grid)})
+    tree.steps = [(*step[:3], *(np.fft.fft2(v.T.reshape(-1, n, n)).reshape(v.shape[::-1]) / n ** 2
+                                for v in step[3:])) for step in tree.steps]
+    return tree
+
+
+def _basis(sc, angles):
+    """Each round's e^{i(j alpha + k beta)}, j and k over ``_freq``, (rounds,
+    frequencies**2)."""
+    ea, eb = (np.exp(1j * np.multiply.outer(angles[k], _freq(sc))) for k in ("alpha", "beta"))
+    return (ea[:, :, None] * eb[:, None, :]).reshape(len(ea), -1)
+
+
+def _sample(tbl, u):
+    """One chunk of rounds from the branch table ``tbl``: the angles, then
+    each step's outcome, 1 where the draw >= its numerator over denominator
+    at the round's angles and branch b, a split moving the round to 2b +
+    outcome.  Only a rounding event reaches a branch of probability 0, so
+    its 0/0 is left silent."""
+    draws = iter(u.T)
+    rec = {name: 2.0 * np.pi * next(draws) for name in _angles(tbl.sc)}
+    basis = _basis(tbl.sc, rec)
+    branch = np.zeros(len(u), dtype=np.int64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for record, invert, splits, num, den in tbl.steps:
+            p0 = (np.einsum("rk,rk->r", num[branch], basis).real
+                  / np.einsum("rk,rk->r", den[branch], basis).real)
+            bit = (next(draws) >= p0).astype(np.int64)
+            if record:
+                rec[record] = bit ^ invert
+            branch = 2 * branch + bit if splits else branch
+    if next(draws, None) is not None:
         raise RuntimeError("the scenario's operations left draws unused")
-    return run.rec
+    rec.update((name, np.full(len(u), v)) for name, v in tbl.fixed.items())
+    return rec
 
 
 def _public(sc, rec):
@@ -406,18 +382,16 @@ def protocol_rounds(u, attack=None):
     (``gamma``; ``cx``, ``cy`` and ``povm_up`` for ``general``).  Returns the
     public columns and every readout record.
 
-    Rows run in chunks of at most ``CHUNK``.  A kind with a channel operation
-    holds a register per row, so its chunk also holds at most ``_CHUNK_BYTES``
-    of register: 512 rows for general (8 qubits); a kind without one holds at
-    most 2**n amplitudes over all its states.  Every row is computed on its
-    own, so the chunk size changes no public column."""
+    The kind is compiled once per call into its branch table (``_compile``),
+    and the rows are sampled from it in chunks of at most ``CHUNK``.  Every
+    row is sampled on its own, so the chunk size changes no public column."""
     attack = attack or {"kind": "none"}
     sc = SCENARIOS[attack["kind"]]
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
         raise ValueError(f"{attack['kind']} needs rounds of {sc.draws} draws, got shape {u.shape}")
     rows = u.reshape(-1, sc.draws // sc.copies)          # copies run as consecutive rows
-    size = min(CHUNK, _CHUNK_BYTES // (16 << len(sc.layout))) if sc.channel else CHUNK
-    chunks = [_run(sc, rows[lo:lo + size], attack) for lo in range(0, len(rows), size)]
+    tbl = _compile(sc, attack)
+    chunks = [_sample(tbl, rows[lo:lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
     rec = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     if sc.copies > 1:
         rec = {f"{name}{i}": arr.reshape(-1, sc.copies)[:, i]

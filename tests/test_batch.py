@@ -1,17 +1,19 @@
-"""Kernel-level checks of the batch executor against independent references:
-the fused QFR diagonal against the scalar gates; the prepared register, in
-the angle frame and rotated back, against the scalar product state and
-gates; the general attack's entangler against the scalar channel hook; the
-lab-frame Helstrom oracle against a full eigendecomposition of Eve's 16x16
-rho_1 - rho_0, and the frame's Helstrom step against that oracle; the
-executor's outputs against its own chunk size; and the named wrappers
-against the executor."""
+"""Kernel-level checks of the batch compile and sampler against independent
+references: the fused QFR diagonal against the scalar gates; the prepared
+register, in the angle frame and rotated back, against the scalar product
+state and gates; the general attack's entangler against the scalar channel
+hook; the lab-frame Helstrom oracle against a full eigendecomposition of
+Eve's 16x16 rho_1 - rho_0, and the frame's Helstrom step against that
+oracle; the branch table's Fourier coefficients against the branch run at
+random angles, and its angle averages against closed forms; the sampler's
+outputs against its own chunk size; and the named wrappers against the
+executor."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from faraday_qkd import adversary, batch, harness, qstate as qs
+from faraday_qkd import adversary, analysis, batch, harness, qstate as qs
 
 from oracles import helstrom_lab
 
@@ -40,31 +42,20 @@ def _frame_rotation(kets, angles, n):
                            for q, k in enumerate(kets) if k != "home"))
 
 
-def _capture(sc, steps):
-    """``sc`` with the readout ``steps``, then a step that records the chunk
-    in flight and takes the draws left."""
-    captured = []
-
-    def capture(run):
-        captured.append(run)
-        list(run.draws)
-    return replace(sc, readout=tuple(steps) + ((capture,),)), captured
-
-
 @pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel is None])
 def test_prepared_register_matches_scalar_build(kind):
     """The prepared register is one state in the angle frame, and R(angles)
     times it equals the scalar engine's product state and gates
     (``adversary._prepared_state``) at random angles."""
     sc = batch.SCENARIOS[kind]
-    names = list(dict.fromkeys(k for k in sc.kets if k != "home"))
-    capture, captured = _capture(sc, ())
-    batch._run(capture, np.random.default_rng(len(kind) + 3).random((6, len(names))), {})
-    run = captured[0]
-    assert len(run.amps) == 1
-    lab = _frame_rotation(sc.kets, run.rec, len(sc.kets)) * run.amps[run.idx]
+    tree = batch._branches(replace(sc, readout=()), {}, {})
+    assert tree.amps.shape == (1, 1, 1 << len(sc.kets))
+    names = batch._angles(sc)
+    rng = np.random.default_rng(len(kind) + 3)
+    angles = dict(zip(names, 2 * np.pi * rng.random((len(names), 6))))
+    lab = _frame_rotation(sc.kets, angles, len(sc.kets)) * tree.amps[0, 0]
     for r, amps in enumerate(lab):
-        ref = adversary._prepared_state(kind, **{k: run.rec[k][r] for k in names})
+        ref = adversary._prepared_state(kind, **{k: angles[k][r] for k in names})
         np.testing.assert_allclose(amps, ref.amplitudes, rtol=0, atol=1e-14)
 
 
@@ -81,21 +72,22 @@ def test_scenarios_list_home_kets_first():
 @pytest.mark.parametrize("leg", range(len(batch._LEGS)))
 def test_entangler_matches_scalar_hook(leg, c):
     """Leg i of the general attack acts on a register of 4 + i qubits: the
-    batch entangler, run in the angle frame at random alpha and beta, must
-    give the scalar hook's amplitudes once rotated back, ancilla on top."""
+    batch entangler, run in the angle frame on a tree whose points are random
+    (alpha, beta) pairs, must give the scalar hook's amplitudes once rotated
+    back, ancilla on top."""
     sc = batch.SCENARIOS["general"]
     n, travel = 4 + leg, sc.gates[leg][1]
     gamma = 0.83
     rng = np.random.default_rng(100 * leg + int(100 * c))
     amps = rng.normal(size=(5, 1 << n)) + 1j * rng.normal(size=(5, 1 << n))
     amps /= np.linalg.norm(amps, axis=1)[:, None]
-    run = batch._Rounds(np.zeros((5, 0)), sc, {"gamma": gamma, "cx": c, "cy": c})
-    run.rec.update(alpha=rng.uniform(0, 2 * np.pi, 5), beta=rng.uniform(0, 2 * np.pi, 5))
-    run.amps, run.idx = amps / _frame_rotation(sc.kets, run.rec, n), np.arange(5)
-    batch._entangle(run, travel, *batch._LEGS[leg])
+    angles = dict(alpha=rng.uniform(0, 2 * np.pi, 5), beta=rng.uniform(0, 2 * np.pi, 5))
+    tree = batch._Tree(sc, {"gamma": gamma, "cx": c, "cy": c}, angles)
+    tree.amps = (amps / _frame_rotation(sc.kets, angles, n))[:, None]
+    batch._entangle(tree, travel, *batch._LEGS[leg])
     hook = adversary.general_attack_hooks(adversary.GeneralAttackSpec(gamma, c, c))[leg]
     ref = [hook.transform(qs.StateVector(n, a), None).amplitudes for a in amps]
-    lab = run.amps * _frame_rotation(sc.kets, run.rec, n + 1)
+    lab = tree.amps[:, 0] * _frame_rotation(sc.kets, angles, n + 1)
     np.testing.assert_allclose(lab, np.array(ref), rtol=0, atol=1e-14)
 
 
@@ -159,52 +151,133 @@ def test_helstrom_matches_full_eigh(kind, ranks):
 def test_frame_helstrom_matches_lab_oracle(kind):
     """At random alpha and beta, the Helstrom step solved once per kind in the
     angle frame gives each round the lab-frame oracle's trace distance and
-    P(guess key 1), to 1e-12.  Eve's frame states are replaced by random
-    ones, so that P(guess key 1) is neither 0 nor 1."""
+    P(guess key 1), its numerator over its denominator, to 1e-12.  Each
+    branch's Eve register is replaced by a random unnormalised one, so that
+    P(guess key 1) is neither 0 nor 1."""
     sc = batch.SCENARIOS[kind]
     rng = np.random.default_rng(len(kind))
-    capture, captured = _capture(sc, sc.readout[:-1])
-    batch._run(capture, rng.random((40, sc.draws)), {})
-    run = captured[0]
-    run.amps = rng.normal(size=(len(run.amps), 16)) + 1j * rng.normal(size=(len(run.amps), 16))
-    run.amps /= np.linalg.norm(run.amps, axis=1)[:, None]
-    alpha, beta = run.rec["alpha"], run.rec["beta"]
+    tree = batch._branches(replace(sc, readout=sc.readout[:-1]), {}, {})
+    _, branches, dim = tree.amps.shape
+    eve, rest = (rng.normal(size=(branches, d)) + 1j * rng.normal(size=(branches, d))
+                 for d in (16, dim // 16))
+    tree.amps = (eve[:, :, None] * rest[:, None, :]).reshape(tree.amps.shape)   # Eve on top
+    batch._helstrom(tree)
+    record, invert, splits, num, den = tree.steps[-1]
+    # the guess is key 1 at draw < P(guess key 1)
+    assert (record, invert, splits) == ("guess", True, False)
+    rounds = rng.integers(branches, size=40)
+    angles = dict(zip(("alpha", "beta"), rng.uniform(0, 2 * np.pi, (2, 40))))
     prepared = np.array([adversary._prepared_state(kind, alpha=a, beta=b).amplitudes
-                         for a, b in zip(alpha, beta)])
-    eve = run.amps[run.idx] * _frame_rotation(sc.kets[-4:], run.rec, 4)
-    t_ref, p_ref = helstrom_lab(prepared, eve, alpha, beta, sc.layout.index("C"))
+                         for a, b in zip(angles["alpha"], angles["beta"])])
+    lab = eve[rounds] / np.linalg.norm(eve[rounds], axis=1)[:, None]
+    lab = lab * _frame_rotation(sc.kets[-4:], angles, 4)
+    t_ref, p_ref = helstrom_lab(prepared, lab, angles["alpha"], angles["beta"],
+                                sc.layout.index("C"))
     assert np.all((p_ref > 1e-6) & (p_ref < 1 - 1e-6))
-    # the guess is draw < p1: draws just either side of p1 pin it to 1e-12
-    for shift, guess in ((-1e-12, 1), (1e-12, 0)):
-        run.draws = iter([p_ref + shift])
-        batch._helstrom(run)
-        np.testing.assert_allclose(run.rec["trace_dist"], t_ref, rtol=0, atol=1e-12)
-        assert np.all(run.rec["guess"] == guess)
+    np.testing.assert_allclose(num[0, rounds] / den[0, rounds], p_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tree.fixed["trace_dist"], t_ref, rtol=0, atol=1e-12)
 
 
 def test_pns_4home_holds_few_states():
-    """On a 2,048-round chunk, pns:4home reaches its Helstrom step with at
-    most 2**6 distinct states, one per outcome string of its six readouts: a
-    fall back to one state per round would show here."""
-    sc = batch.SCENARIOS["pns:4home"]
-    capture, captured = _capture(sc, sc.readout[:-1])
-    batch._run(capture, harness.round_uniforms(3, 0, 2048, sc.draws), {})
-    assert len(captured[0].idx) == 2048 and len(captured[0].amps) <= 64
+    """pns:4home's table has one point and 2**6 branches at its Helstrom step,
+    one per outcome string of its six readouts: a fall back to a grid or to
+    per-round work would show here."""
+    tbl = batch._compile(batch.SCENARIOS["pns:4home"], {})
+    record, _, _, num, den = tbl.steps[-1]
+    assert record == "guess" and tbl.amps.shape[:2] == (1, 64)
+    assert num.shape == den.shape == (64, 1)
 
 
-def _attack(kind):
-    attack = {"kind": kind, "gamma": 0.83}
+def _attack(kind, gamma=0.83, cx=0.4, cy=0.7):
+    attack = {"kind": kind, "gamma": gamma}
     if kind == "general":
-        spec = adversary.GeneralAttackSpec(0.83, 0.4, 0.7)
-        attack.update(cx=0.4, cy=0.7, povm_up=adversary.EveDiscriminator(spec).m_up)
+        spec = adversary.GeneralAttackSpec(gamma, cx, cy)
+        attack.update(cx=cx, cy=cy, povm_up=adversary.EveDiscriminator(spec).m_up)
     return attack
+
+
+@pytest.mark.parametrize("kind, cx, cy", [("general", 0.5, 0.5), ("general", 0.2, 0.8),
+                                          ("general", 0.9, 0.35), ("intercept", None, None)])
+def test_table_is_exact_at_random_angles(kind, cx, cy):
+    """Every step's numerator and denominator, evaluated from the table's
+    5 x 5 Fourier coefficients at random alpha and beta, equals the branch
+    run at those angles to 1e-12, at a random gamma: the degree-2 bound the
+    table rests on, which a kind of higher degree breaks."""
+    rng = np.random.default_rng(len(kind) + int(10 * (cx or 0)))
+    sc = batch.SCENARIOS[kind]
+    attack = _attack(kind, rng.uniform(0, 2 * np.pi), cx, cy)
+    tbl = batch._compile(sc, attack)
+    angles = dict(zip(("alpha", "beta"), rng.uniform(0, 2 * np.pi, (2, 30))))
+    run = batch._branches(sc, attack, angles)
+    basis = batch._basis(sc, angles)
+    assert len(tbl.steps) == len(run.steps) == sc.draws - 2
+    for compiled, direct in zip(tbl.steps, run.steps):
+        assert compiled[:3] == direct[:3]
+        for coeffs, values in zip(compiled[3:], direct[3:]):
+            assert coeffs.shape == (values.shape[1], 25)
+            np.testing.assert_allclose((coeffs @ basis.T).real, values.T, rtol=0, atol=1e-12)
+
+
+def _outcomes(step):
+    """A step's angle-averaged P(branch, outcome), (branches, 2): the constant
+    terms of its numerator and denominator."""
+    *_, num, den = step
+    p0, p = num[:, 0].real, den[:, 0].real
+    return np.stack([p0, p - p0], axis=1)
+
+
+def _detection(tbl):
+    """Angle-averaged P(C != D), over the leaves of the last splitting step."""
+    leaves = _outcomes([s for s in tbl.steps if s[2]][-1]).ravel()
+    return np.sum(leaves[tbl.bits["C"] != tbl.bits["D"]])
+
+
+def _accuracy(tbl, record, key):
+    """Angle-averaged P(record == key) for Eve's guess ``record``, a step
+    after the last split, and the key bit ``key`` of each leaf."""
+    step = next(s for s in tbl.steps if s[0] == record)
+    out = _outcomes(step)
+    return np.sum(out[np.arange(len(out)), tbl.bits[key] ^ step[1]])
+
+
+@pytest.mark.parametrize("cx, cy", [(0.5, 0.5), (0.2, 0.2), (0.8, 0.8), (0.2, 0.8), (0.5, 0.9)])
+def test_general_table_gives_exact_expectations(cx, cy):
+    """The table's constant terms are angle averages: the general attack's
+    detection rate is the closed form (3 - 2q - q^2)/8, q = cx cy, to 1e-12;
+    on balanced specs Eve's accuracy on Alice's home key is 1 - c^2/2."""
+    tbl = batch._compile(batch.SCENARIOS["general"], _attack("general", 1.3 * cx, cx, cy))
+    assert _detection(tbl) == pytest.approx(
+        analysis.simulated_detection_probability(cx, cy), rel=0, abs=1e-12)
+    if cx == cy:
+        assert _accuracy(tbl, "guess_alice", "A") == pytest.approx(1 - cx * cx / 2, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, gamma, rate", [("intercept", 0.3, 3 / 8), ("intercept", 1.7, 3 / 8),
+                                               ("impersonate:one", 0, 1 / 2), ("none", 0, 0),
+                                               ("pns:3", 0, 0), ("pns:4home", 0, 0)])
+def test_table_gives_exact_detection_rates(kind, gamma, rate):
+    """The angle-averaged P(C != D) of each kind's table against its closed
+    form, to 1e-12; for the PNS kinds, Eve's accuracy on Alice's odd key is
+    1."""
+    tbl = batch._compile(batch.SCENARIOS[kind], _attack(kind, gamma))
+    assert _detection(tbl) == pytest.approx(rate, rel=0, abs=1e-12)
+    if kind.startswith("pns"):
+        assert _accuracy(tbl, "guess", "C") == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def test_two_home_detection_rate_from_marginals():
+    """Eve's two copies are independent runs of the baseline, so
+    P(C0 != D1) = 1/2 follows from the copies' marginals of C and D."""
+    tbl = batch._compile(batch.SCENARIOS["impersonate:two"], {})
+    leaves = _outcomes([s for s in tbl.steps if s[2]][-1]).ravel()
+    c1, d1 = (np.sum(leaves[tbl.bits[k] == 1]) for k in ("C", "D"))
+    assert c1 * (1 - d1) + (1 - c1) * d1 == pytest.approx(0.5, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", batch.SCENARIOS)
 def test_chunk_size_changes_no_output(kind, monkeypatch):
-    """Rows are independent: chunks of 1, 7 and 2,048 rows (the last capped by
-    the register size) give the same bytes in every column, and trace_dist to
-    1e-14."""
+    """Rows are independent: chunks of 1, 7 and 2,048 rows give the same bytes
+    in every column, and trace_dist to 1e-14."""
     u = harness.round_uniforms(31, 0, 300, batch.SCENARIOS[kind].draws)
     runs = []
     for chunk in (1, 7, 2048):

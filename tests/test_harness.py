@@ -445,7 +445,10 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: a worker process died (")
 
     def test_module_entry_point(self):
+        # the child imports the package this process imported
+        src = os.path.dirname(os.path.dirname(proto.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-m", "faraday_qkd", "solve"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "0.266188" in proc.stdout
