@@ -5,7 +5,8 @@ state and gates; the general attack's entangler against the scalar channel
 hook; the lab-frame Helstrom oracle against a full eigendecomposition of
 Eve's 16x16 rho_1 - rho_0, and the frame's Helstrom step against that
 oracle; the branch table's Fourier coefficients against the branch run at
-random angles, and its angle averages against closed forms; the sampler's
+random angles, and its angle averages against closed forms; the cached
+table against a fresh compile, and the cache's key and bound; the sampler's
 outputs against its own chunk size; and the named wrappers against the
 executor."""
 from dataclasses import replace
@@ -234,22 +235,62 @@ def _detection(tbl):
 
 def _accuracy(tbl, record, key):
     """Angle-averaged P(record == key) for Eve's guess ``record``, a step
-    after the last split, and the key bit ``key`` of each leaf."""
+    after the last split, and ``key``, one bit per leaf."""
     step = next(s for s in tbl.steps if s[0] == record)
     out = _outcomes(step)
-    return np.sum(out[np.arange(len(out)), tbl.bits[key] ^ step[1]])
+    return np.sum(out[np.arange(len(out)), key ^ step[1]])
+
+
+def _within_3_sigma(rate, p, n):
+    """A rate measured over n rounds lies within 3 sigma of p."""
+    return abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / n)
+
+
+# Eve's exact accuracy on Alice's home key at the unbalanced general specs
+_UNBALANCED_ACCURACY = {(0.2, 0.8): 0.7498265274241334, (0.5, 0.9): 0.6591456577136114}
 
 
 @pytest.mark.parametrize("cx, cy", [(0.5, 0.5), (0.2, 0.2), (0.8, 0.8), (0.2, 0.8), (0.5, 0.9)])
 def test_general_table_gives_exact_expectations(cx, cy):
     """The table's constant terms are angle averages: the general attack's
     detection rate is the closed form (3 - 2q - q^2)/8, q = cx cy, to 1e-12;
-    on balanced specs Eve's accuracy on Alice's home key is 1 - c^2/2."""
+    Eve's accuracy on Alice's home key is 1 - c^2/2 on balanced specs and
+    pinned on unbalanced ones, and ``run_experiment``'s Monte Carlo accuracy
+    lies within 3 sigma of it."""
     tbl = batch._compile(batch.SCENARIOS["general"], _attack("general", 1.3 * cx, cx, cy))
     assert _detection(tbl) == pytest.approx(
         analysis.simulated_detection_probability(cx, cy), rel=0, abs=1e-12)
-    if cx == cy:
-        assert _accuracy(tbl, "guess_alice", "A") == pytest.approx(1 - cx * cx / 2, rel=0, abs=1e-12)
+    exact = _accuracy(tbl, "guess_alice", tbl.bits["A"])
+    want = 1 - cx * cx / 2 if cx == cy else _UNBALANCED_ACCURACY[cx, cy]
+    assert exact == pytest.approx(want, rel=0, abs=1e-12)
+    n = 20000
+    report = harness.run_experiment(harness.ExperimentConfig(
+        rounds=n, test_bits=0, master_seed=61,
+        attack=harness.AttackChoice("general", cx, cy, 1.3 * cx)))
+    assert _within_3_sigma(report.eve_accuracy, exact, n)
+
+
+@pytest.mark.parametrize("cx, cy", [(0.5, 0.5), (0.2, 0.8)])
+def test_eve_bob_guess_aims_at_his_home_bit_before_the_flip(cx, cy):
+    """Eve's (E, F) guess (``eve_guess_bob``, the CSV's ``eve_bit_bob``)
+    predicts Bob's home bit before step 9's flip, k_bob_even XOR k_bob_odd,
+    exactly as well as her (E', F') guess predicts Alice's home bit (0.875 at
+    c = 0.5); against ``k_bob_even`` it is right half the time.  Both exact
+    to 1e-12 from the table, and the sampled columns within 3 sigma."""
+    attack = _attack("general", 1.3 * cx, cx, cy)
+    tbl = batch._compile(batch.SCENARIOS["general"], attack)
+    bits = tbl.bits
+    alice = _accuracy(tbl, "guess_alice", bits["A"])
+    if cx == cy == 0.5:
+        assert alice == pytest.approx(0.875, rel=0, abs=1e-12)
+    assert _accuracy(tbl, "guess_bob", bits["B"] ^ bits["D"]) == pytest.approx(
+        alice, rel=0, abs=1e-12)
+    assert _accuracy(tbl, "guess_bob", bits["B"]) == pytest.approx(0.5, rel=0, abs=1e-12)
+    n = 20000
+    cols = batch.protocol_rounds(harness.round_uniforms(62, 0, n, 8), attack)
+    guess, even = cols["eve_guess_bob"], cols["k_bob_even"]
+    assert _within_3_sigma(np.mean(guess == even ^ cols["k_bob_odd"]), alice, n)
+    assert _within_3_sigma(np.mean(guess == even), 0.5, n)
 
 
 @pytest.mark.parametrize("kind, gamma, rate", [("intercept", 0.3, 3 / 8), ("intercept", 1.7, 3 / 8),
@@ -262,7 +303,7 @@ def test_table_gives_exact_detection_rates(kind, gamma, rate):
     tbl = batch._compile(batch.SCENARIOS[kind], _attack(kind, gamma))
     assert _detection(tbl) == pytest.approx(rate, rel=0, abs=1e-12)
     if kind.startswith("pns"):
-        assert _accuracy(tbl, "guess", "C") == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert _accuracy(tbl, "guess", tbl.bits["C"]) == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_two_home_detection_rate_from_marginals():
@@ -291,6 +332,98 @@ def test_chunk_size_changes_no_output(kind, monkeypatch):
                 np.testing.assert_allclose(col, ref[name], rtol=0, atol=1e-14)
             else:
                 assert col.dtype == ref[name].dtype and col.tobytes() == ref[name].tobytes(), name
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """An empty table cache for the test, the process's own restored after."""
+    monkeypatch.setattr(batch, "_TABLES", {})
+    return batch._TABLES
+
+
+def _same_steps(a, b):
+    """Two tables' steps are equal, coefficient arrays exactly."""
+    return len(a) == len(b) and all(
+        x[:3] == y[:3] and all(np.array_equal(u, v) for u, v in zip(x[3:], y[3:]))
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("kind, gamma, cx, cy", [
+    *((kind, 0.83, 0.4, 0.7) for kind in batch.SCENARIOS),
+    ("general", 1.1, 0.2, 0.8), ("general", 0.0, 1.0, 1.0), ("intercept", 1.7, None, None)])
+def test_sampled_table_equals_a_fresh_compile(kind, gamma, cx, cy, tables, monkeypatch):
+    """The table ``protocol_rounds`` samples from is compiled once and reused
+    by the next call on the spec, and its steps and constant records equal a
+    fresh ``_compile`` exactly."""
+    sampled = []
+    sample = batch._sample
+    monkeypatch.setattr(batch, "_sample", lambda tbl, u: sampled.append(tbl) or sample(tbl, u))
+    attack = _attack(kind, gamma, cx, cy)
+    u = harness.round_uniforms(5, 0, 10, batch.SCENARIOS[kind].draws)
+    batch.protocol_rounds(u, attack)
+    batch.protocol_rounds(u, attack)
+    tbl = sampled[0]
+    assert all(t is tbl for t in sampled) and len(tables) == 1
+    fresh = batch._compile(batch.SCENARIOS[kind], attack)
+    assert _same_steps(tbl.steps, fresh.steps)
+    assert tbl.fixed == fresh.fixed
+
+
+def test_specs_that_differ_share_no_table(tables):
+    """Specs that differ only in gamma, cx, cy or povm_up get tables of their
+    own; a kind without parameters gets one table whatever the dict carries."""
+    base = _attack("general", 0.83, 0.4, 0.7)
+    variants = [base, {**base, "gamma": 0.84}, {**base, "cx": 0.41}, {**base, "cy": 0.71},
+                {**base, "povm_up": _attack("general", 0.83, 0.4, 0.71)["povm_up"]}]
+    got = [batch._table(batch.SCENARIOS["general"], a) for a in variants]
+    assert len({id(t) for t in got}) == len(variants) == len(tables)
+    assert batch._table(batch.SCENARIOS["general"], dict(base)) is got[0]
+    for a, t in zip(variants[1:], got[1:]):
+        assert _same_steps(t.steps, batch._compile(batch.SCENARIOS["general"], a).steps)
+    none = [batch._table(batch.SCENARIOS["none"], a)
+            for a in ({"kind": "none"}, {**base, "kind": "none"}, {"kind": "none", "gamma": 2.0})]
+    assert none[0] is none[1] is none[2]
+
+
+def test_cached_tables_are_read_only_without_amplitudes(tables):
+    """A cached table keeps the kind, its steps and constant records: every
+    coefficient array is read-only and (branches, frequencies**2), so no
+    amplitude array is kept."""
+    for kind in batch.SCENARIOS:
+        u = harness.round_uniforms(6, 0, 4, batch.SCENARIOS[kind].draws)
+        batch.protocol_rounds(u, _attack(kind))
+    assert len(tables) == len(batch.SCENARIOS)
+    for tbl in tables.values():
+        assert set(vars(tbl)) == {"sc", "steps", "fixed"}
+        terms = len(batch._freq(tbl.sc)) ** 2
+        for *_, num, den in tbl.steps:
+            for coeffs in (num, den):
+                assert not coeffs.flags.writeable and coeffs.shape[1:] == (terms,)
+                with pytest.raises(ValueError):
+                    coeffs[0, 0] = 0
+
+
+def test_table_cache_stays_at_its_bound(tables, monkeypatch):
+    """A sweep over more specs than ``TABLES_KEPT`` keeps that many tables,
+    the least recently used dropped: a spec used again during the sweep
+    stays, the sweep's second spec compiles again."""
+    compiled = []
+    compile_ = batch._compile
+    monkeypatch.setattr(batch, "_compile", lambda sc, a: compiled.append(a) or compile_(sc, a))
+    u = harness.round_uniforms(7, 0, 4, batch.SCENARIOS["intercept"].draws)
+
+    def run(gamma):
+        batch.protocol_rounds(u, _attack("intercept", gamma))
+
+    gammas = 0.1 * np.arange(batch.TABLES_KEPT + 3)
+    for gamma in gammas:
+        run(gamma)
+        run(gammas[0])
+    assert len(tables) == batch.TABLES_KEPT and len(compiled) == len(gammas)
+    run(gammas[0])
+    assert len(compiled) == len(gammas)
+    run(gammas[1])
+    assert len(compiled) == len(gammas) + 1 and len(tables) == batch.TABLES_KEPT
 
 
 @pytest.mark.parametrize("kind, variant", [("impersonate:one", None),
