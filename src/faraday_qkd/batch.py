@@ -11,11 +11,11 @@ of operations: a row of ``u`` gives the angles (2*pi times the uniform, in
 order of first use by the kets), then one uniform to each stochastic channel
 operation and readout step in turn, copy after copy.
 
-The physics runs once per attack spec, on a branch tree in the angle
-frame.  Every ket is an equator ket and every gate a diagonal QFR, so a
-round's register is R psi, with R = (x)_q diag(1, e^{i theta_q}) over the
-qubits' ket angles (0 for a home) and psi the frame register, at
-preparation the kind's register at all-zero angles.  An operation on qubit q in the basis at angle
+The physics runs once per spec, on a branch tree in the angle frame.  Every
+ket is an equator ket and every gate a diagonal QFR, so a round's register
+is R psi, with R = (x)_q diag(1, e^{i theta_q}) over the qubits' ket angles
+(0 for a home) and psi the frame register, at preparation the kind's
+register at all-zero angles.  An operation on qubit q in the basis at angle
 phi acts on psi in the basis at phi - theta_q; a z readout, a NOT and a QFR
 commute with R.  A measurement splits branch b into its unnormalised
 projections 2b and 2b + 1 and draws nothing; each draw is a step whose
@@ -24,8 +24,8 @@ operation psi does not depend on the angles, so the tree runs at one point;
 with one, each numerator and denominator is a trig polynomial of degree 2 in
 alpha and beta, fixed by a 5 x 5 grid (``_compile``).  A round takes
 outcome 1 where its draw >= that ratio at its angles and branch
-(``_sample``).  ``_table`` keeps each spec's table for the process, so
-later calls on that spec only sample.
+(``_sample``).  ``_table`` keeps the tables of the 16 most recently used
+specs, so later calls on a spec only sample.
 
 Gates and channel operations address the register by position, in the order
 of ``Scenario.layout``, Eve's ancillas on top; readout steps name qubits by
@@ -334,41 +334,22 @@ def _compile(sc, attack):
     return tree
 
 
-@dataclass(frozen=True)
-class _Table:
-    """What ``_sample`` reads of a compiled tree: the kind, its steps (their
-    coefficient arrays read-only) and its constant records."""
-
-    sc: Scenario
-    steps: tuple
-    fixed: dict
-
-
-# compiled tables kept per process, the least recently used dropped first
-TABLES_KEPT = 16
-_TABLES = {}
-
-
-def _table(sc, attack):
-    """Kind ``sc``'s branch table for ``attack``, compiled on first use and
-    kept for the last ``TABLES_KEPT`` specs.  The key holds every attack value
-    the tree reads: the kind, the bytes of its ``params`` values and, with
-    Eve's POVM, of ``povm_up``; a kind with neither shares one table whatever
-    else ``attack`` carries.  The amplitudes are not kept."""
-    key = (attack["kind"], np.array([attack[p] for p in sc.params], dtype=np.float64).tobytes())
-    if (_povm,) in sc.readout:
-        key += (np.asarray(attack["povm_up"], dtype=np.complex128).tobytes(),)
-    tbl = _TABLES.pop(key, None)
-    if tbl is None:
-        tree = _compile(sc, attack)
-        for step in tree.steps:
-            for coeffs in step[3:]:
-                coeffs.flags.writeable = False
-        tbl = _Table(sc, tuple(tree.steps), tree.fixed)
-    _TABLES[key] = tbl
-    if len(_TABLES) > TABLES_KEPT:
-        del _TABLES[next(iter(_TABLES))]
-    return tbl
+@lru_cache(maxsize=16)
+def _table(sc, values, povm):
+    """Kind ``sc``'s branch table for the attack whose ``params`` take
+    ``values`` and whose ``povm_up`` has the bytes ``povm`` (``b""`` without
+    Eve's POVM), compiled on first use and kept for the process; a kind with
+    neither shares one table.  The amplitudes are not kept, and the
+    coefficient arrays are read-only."""
+    attack = dict(zip(sc.params, values))
+    if povm:
+        attack["povm_up"] = np.frombuffer(povm, dtype=np.complex128).reshape(4, 4)
+    tree = _compile(sc, attack)
+    tree.amps = tree.attack = None
+    for step in tree.steps:
+        for coeffs in step[3:]:
+            coeffs.flags.writeable = False
+    return tree
 
 
 def _basis(sc, angles):
@@ -429,7 +410,10 @@ def protocol_rounds(u, attack=None):
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
         raise ValueError(f"{attack['kind']} needs rounds of {sc.draws} draws, got shape {u.shape}")
     rows = u.reshape(-1, sc.draws // sc.copies)          # copies run as consecutive rows
-    tbl = _table(sc, attack)
+    povm = b""
+    if (_povm,) in sc.readout:
+        povm = np.asarray(attack["povm_up"], dtype=np.complex128).tobytes()
+    tbl = _table(sc, tuple(float(attack[p]) for p in sc.params), povm)
     chunks = [_sample(tbl, rows[lo:lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
     rec = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     if sc.copies > 1:

@@ -27,7 +27,6 @@ import sys
 import time
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -288,15 +287,6 @@ def _information(x, y) -> float:
     return analysis.empirical_mutual_information(table)
 
 
-@lru_cache(maxsize=16)
-def _povm_up(gamma, cx, cy):
-    """Eve's POVM for the general spec (gamma, cx, cy), built once per process
-    for each spec; read-only, as every later run shares it."""
-    m_up = EveDiscriminator(GeneralAttackSpec(gamma, cx, cy)).m_up
-    m_up.flags.writeable = False
-    return m_up
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run N protocol rounds under the configured attack, verify M test bits,
     aggregate the report, and (optionally) write per-round CSV."""
@@ -306,7 +296,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     eve_key = batch.SCENARIOS[attack.kind].eve_key
     params = {"kind": attack.kind, "gamma": attack.gamma, "cx": attack.c_x, "cy": attack.c_y}
     if eve_key == _HOME_KEY:
-        params["povm_up"] = _povm_up(attack.gamma, attack.c_x, attack.c_y)
+        spec = GeneralAttackSpec(attack.gamma, attack.c_x, attack.c_y)
+        params["povm_up"] = EveDiscriminator(spec).m_up
     chunks = [(params, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo))
               for lo in range(0, n, CHUNK_ROUNDS)]
     # the fork start method launches every worker up front

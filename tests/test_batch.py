@@ -6,7 +6,7 @@ hook; the lab-frame Helstrom oracle against a full eigendecomposition of
 Eve's 16x16 rho_1 - rho_0, and the frame's Helstrom step against that
 oracle; the branch table's Fourier coefficients against the branch run at
 random angles, and its angle averages against closed forms; the cached
-table against a fresh compile, and the cache's key and bound; the sampler's
+table against a fresh compile, and the cache's key; the sampler's
 outputs against its own chunk size; and the named wrappers against the
 executor."""
 from dataclasses import replace
@@ -335,10 +335,22 @@ def test_chunk_size_changes_no_output(kind, monkeypatch):
 
 
 @pytest.fixture
-def tables(monkeypatch):
-    """An empty table cache for the test, the process's own restored after."""
-    monkeypatch.setattr(batch, "_TABLES", {})
-    return batch._TABLES
+def tables():
+    """An empty table cache for the test, and emptied again after it."""
+    batch._table.cache_clear()
+    yield batch._table
+    batch._table.cache_clear()
+
+
+def _sampled_tables(monkeypatch, *attacks):
+    """The table ``protocol_rounds`` samples from for each attack."""
+    sampled = []
+    sample = batch._sample
+    monkeypatch.setattr(batch, "_sample", lambda tbl, u: sampled.append(tbl) or sample(tbl, u))
+    for attack in attacks:
+        u = harness.round_uniforms(5, 0, 10, batch.SCENARIOS[attack["kind"]].draws)
+        batch.protocol_rounds(u, attack)
+    return sampled
 
 
 def _same_steps(a, b):
@@ -355,75 +367,43 @@ def test_sampled_table_equals_a_fresh_compile(kind, gamma, cx, cy, tables, monke
     """The table ``protocol_rounds`` samples from is compiled once and reused
     by the next call on the spec, and its steps and constant records equal a
     fresh ``_compile`` exactly."""
-    sampled = []
-    sample = batch._sample
-    monkeypatch.setattr(batch, "_sample", lambda tbl, u: sampled.append(tbl) or sample(tbl, u))
     attack = _attack(kind, gamma, cx, cy)
-    u = harness.round_uniforms(5, 0, 10, batch.SCENARIOS[kind].draws)
-    batch.protocol_rounds(u, attack)
-    batch.protocol_rounds(u, attack)
-    tbl = sampled[0]
-    assert all(t is tbl for t in sampled) and len(tables) == 1
+    first, again = _sampled_tables(monkeypatch, attack, dict(attack))
+    assert first is again
+    assert tables.cache_info()[:2] == (1, 1)                 # one hit, one miss
     fresh = batch._compile(batch.SCENARIOS[kind], attack)
-    assert _same_steps(tbl.steps, fresh.steps)
-    assert tbl.fixed == fresh.fixed
+    assert _same_steps(first.steps, fresh.steps)
+    assert first.fixed == fresh.fixed
 
 
-def test_specs_that_differ_share_no_table(tables):
+def test_specs_that_differ_share_no_table(tables, monkeypatch):
     """Specs that differ only in gamma, cx, cy or povm_up get tables of their
     own; a kind without parameters gets one table whatever the dict carries."""
     base = _attack("general", 0.83, 0.4, 0.7)
     variants = [base, {**base, "gamma": 0.84}, {**base, "cx": 0.41}, {**base, "cy": 0.71},
                 {**base, "povm_up": _attack("general", 0.83, 0.4, 0.71)["povm_up"]}]
-    got = [batch._table(batch.SCENARIOS["general"], a) for a in variants]
-    assert len({id(t) for t in got}) == len(variants) == len(tables)
-    assert batch._table(batch.SCENARIOS["general"], dict(base)) is got[0]
+    got = _sampled_tables(monkeypatch, *variants, dict(base))
+    assert len({id(t) for t in got}) == len(variants) and got[-1] is got[0]
     for a, t in zip(variants[1:], got[1:]):
         assert _same_steps(t.steps, batch._compile(batch.SCENARIOS["general"], a).steps)
-    none = [batch._table(batch.SCENARIOS["none"], a)
-            for a in ({"kind": "none"}, {**base, "kind": "none"}, {"kind": "none", "gamma": 2.0})]
+    none = _sampled_tables(monkeypatch, {"kind": "none"}, {**base, "kind": "none"},
+                           {"kind": "none", "gamma": 2.0})
     assert none[0] is none[1] is none[2]
 
 
-def test_cached_tables_are_read_only_without_amplitudes(tables):
-    """A cached table keeps the kind, its steps and constant records: every
-    coefficient array is read-only and (branches, frequencies**2), so no
-    amplitude array is kept."""
-    for kind in batch.SCENARIOS:
-        u = harness.round_uniforms(6, 0, 4, batch.SCENARIOS[kind].draws)
-        batch.protocol_rounds(u, _attack(kind))
-    assert len(tables) == len(batch.SCENARIOS)
-    for tbl in tables.values():
-        assert set(vars(tbl)) == {"sc", "steps", "fixed"}
+def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
+    """A cached table keeps no amplitudes and no attack dict, and every
+    coefficient array is read-only and (branches, frequencies**2)."""
+    got = _sampled_tables(monkeypatch, *(_attack(kind) for kind in batch.SCENARIOS))
+    assert tables.cache_info().currsize == len(batch.SCENARIOS)
+    for tbl in got:
+        assert tbl.amps is None and tbl.attack is None
         terms = len(batch._freq(tbl.sc)) ** 2
         for *_, num, den in tbl.steps:
             for coeffs in (num, den):
                 assert not coeffs.flags.writeable and coeffs.shape[1:] == (terms,)
                 with pytest.raises(ValueError):
                     coeffs[0, 0] = 0
-
-
-def test_table_cache_stays_at_its_bound(tables, monkeypatch):
-    """A sweep over more specs than ``TABLES_KEPT`` keeps that many tables,
-    the least recently used dropped: a spec used again during the sweep
-    stays, the sweep's second spec compiles again."""
-    compiled = []
-    compile_ = batch._compile
-    monkeypatch.setattr(batch, "_compile", lambda sc, a: compiled.append(a) or compile_(sc, a))
-    u = harness.round_uniforms(7, 0, 4, batch.SCENARIOS["intercept"].draws)
-
-    def run(gamma):
-        batch.protocol_rounds(u, _attack("intercept", gamma))
-
-    gammas = 0.1 * np.arange(batch.TABLES_KEPT + 3)
-    for gamma in gammas:
-        run(gamma)
-        run(gammas[0])
-    assert len(tables) == batch.TABLES_KEPT and len(compiled) == len(gammas)
-    run(gammas[0])
-    assert len(compiled) == len(gammas)
-    run(gammas[1])
-    assert len(compiled) == len(gammas) + 1 and len(tables) == batch.TABLES_KEPT
 
 
 @pytest.mark.parametrize("kind, variant", [("impersonate:one", None),

@@ -155,9 +155,9 @@ class TestRunExperiment:
 
     def test_one_compile_per_spec_and_process(self, tmp_path, monkeypatch):
         """A general run of four chunks compiles its branch table once and
-        builds Eve's discriminator once; a second run on the spec does
-        neither, a run on another spec does both, and a run after the caches
-        are cleared writes the same CSV bytes."""
+        builds Eve's discriminator once; a second run on the spec builds the
+        discriminator but does not compile, a run on another spec does both,
+        and a run after the cache is cleared writes the same CSV bytes."""
         counts = {"compile": 0, "disc": 0}
 
         def counted(name, fn):
@@ -169,10 +169,6 @@ class TestRunExperiment:
         monkeypatch.setattr(batch, "_compile", counted("compile", batch._compile))
         monkeypatch.setattr(harness, "EveDiscriminator", counted("disc", EveDiscriminator))
 
-        def fresh_caches():
-            monkeypatch.setattr(batch, "_TABLES", {})
-            harness._povm_up.cache_clear()
-
         def run(attack, name):
             path = tmp_path / name
             run_experiment(ExperimentConfig(
@@ -181,13 +177,13 @@ class TestRunExperiment:
             return path.read_bytes(), dict(counts)
 
         spec = AttackChoice("general", 0.5, 0.5, 0.3)
-        fresh_caches()
+        batch._table.cache_clear()
         first, after = run(spec, "a.csv")
         assert after == {"compile": 1, "disc": 1}
-        assert run(spec, "b.csv") == (first, after)
-        assert run(AttackChoice("general", 0.5, 0.5, 0.4), "c.csv")[1] == {"compile": 2, "disc": 2}
-        fresh_caches()
-        assert run(spec, "d.csv") == (first, {"compile": 3, "disc": 3})
+        assert run(spec, "b.csv") == (first, {"compile": 1, "disc": 2})
+        assert run(AttackChoice("general", 0.5, 0.5, 0.4), "c.csv")[1] == {"compile": 2, "disc": 3}
+        batch._table.cache_clear()
+        assert run(spec, "d.csv") == (first, {"compile": 3, "disc": 4})
 
 
 class TestCsv:
