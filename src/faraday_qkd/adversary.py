@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import batch as _batch
+from .batch import make_ancilla_pair
 from .protocol import (
     LEG_C_TO_ALICE,
     LEG_C_TO_BOB,
@@ -61,25 +62,11 @@ class GeneralAttackSpec:
                 raise ValueError("ancilla overlaps must lie in [0, 1]")
 
 
-def make_ancilla_pair(c: float):
-    """Two normalized single-qubit kets with real inner product c."""
-    if not (0.0 <= c <= 1.0):
-        raise ValueError("overlap must lie in [0, 1]")
-    v0 = np.array([1.0, 0.0])
-    v1 = np.array([c, np.sqrt(max(0.0, 1.0 - c * c))])
-    return v0, v1
-
-
-def _entangler_matrix(c: float) -> np.ndarray:
-    # rotates the fresh ancilla |0> onto c|0> + sqrt(1-c^2)|1>
-    th = 2.0 * np.arccos(np.clip(c, 0.0, 1.0))
-    return np.array([[np.cos(th / 2), -np.sin(th / 2)],
-                     [np.sin(th / 2), np.cos(th / 2)]])
-
-
 def _attack_hook(leg: str, travel: int, basis_angle: float, c: float) -> ChannelHook:
     v = basis_rotation(basis_angle)
-    ry = _entangler_matrix(c)
+    # R_y rotates the fresh ancilla |0> onto the pair's second ket
+    _, (c0, s0) = make_ancilla_pair(c)
+    ry = np.array([[c0, -s0], [s0, c0]])
 
     def transform(state: StateVector, rng) -> StateVector:
         state = append_qubit(state)
@@ -133,14 +120,12 @@ def _kron_ef(e_vec, f_vec):
     return np.kron(f_vec, e_vec)
 
 
-def _sextet(rel_angle, c_first: float, c_second: float):
-    """The six (unnormalized) ancilla-pair vectors for one travel qubit, or
-    for each of an array of angles: vectors 2, 3, 5 and 6 then get the
-    angles' shape plus a last axis of 4; |1> and |4> do not depend on it."""
+def _sextet(rel_angle: float, c_first: float, c_second: float):
+    """The six (unnormalized) ancilla-pair vectors for one travel qubit."""
     e0, e1 = make_ancilla_pair(c_first)
     h0, h1 = make_ancilla_pair(c_second)
-    c2 = (np.cos(np.asarray(rel_angle) / 2) ** 2)[..., None]
-    s2 = (np.sin(np.asarray(rel_angle) / 2) ** 2)[..., None]
+    c2 = np.cos(rel_angle / 2) ** 2
+    s2 = np.sin(rel_angle / 2) ** 2
     return {
         1: _kron_ef(e0, h0) - _kron_ef(e1, h1),
         2: s2 * _kron_ef(e0, h0) + c2 * _kron_ef(e1, h1),
@@ -201,10 +186,6 @@ def build_subspace_decomposition(alpha_tilde: float, beta_tilde: float,
     return dec
 
 
-# EveDiscriminator averages the residual ensembles over this many angles
-_QUADRATURE_POINTS = 64
-
-
 class EveDiscriminator:
     """Two-stage minimum-error measurement on one ancilla pair.
 
@@ -212,48 +193,15 @@ class EveDiscriminator:
     |1> = eps00 eta00 - eps11 eta11 and |4> = eps00 eta11 - eps11 eta00;
     each is orthogonal to every vector of the opposite home-qubit value
     (balanced attack), so those outcomes are certain.  The residual subspace
-    is split by the Helstrom measurement between the angle-averaged residual
-    ensembles {|2>,|3>} versus {|5>,|6>}.  The net effect is one two-outcome
-    POVM {M_up, M_dn} reused for the primed pair.
+    is split by the Helstrom measurement between Eve's states averaged
+    exactly over the angle.  The net effect is one two-outcome POVM
+    {M_up, M_dn}, built by ``batch._eve_povm``, reused for the primed pair.
     """
 
     def __init__(self, spec: GeneralAttackSpec):
         self.spec = spec
-        dim = 4
-        sex0 = _sextet(0.0, spec.overlap_c_x, spec.overlap_c_y)
-        # |1> and |4> are mutually orthogonal only for balanced overlaps;
-        # orthonormalize so the stage-one rays always form a valid PVM
-        v1, v4 = sex0[1], sex0[4]
-        p1 = self._ray_projector(v1)
-        p4 = self._ray_projector(v4 - p1 @ v4)
-        residual = np.eye(dim) - p1 - p4
-        # the midpoint quadrature over the relative angle, all points at once:
-        # sigma = 1/2 mean_k (2 sin^2 cos^2 |1><1| + |2><2| + |3><3|), and the
-        # same for "down" with |4>, |5>, |6>
-        at = 2.0 * np.pi * (np.arange(_QUADRATURE_POINTS) + 0.5) / _QUADRATURE_POINTS
-        sex = _sextet(at, spec.overlap_c_x, spec.overlap_c_y)
-        kets = np.stack([np.broadcast_to(sex[i], sex[2].shape) for i in range(1, 7)], axis=1)
-        kets = kets.reshape(_QUADRATURE_POINTS, 2, 3, dim)     # (k, up/down, vector, 4)
-        sc2 = (np.sin(at / 2) * np.cos(at / 2)) ** 2
-        weights = np.stack([2 * sc2, np.ones_like(sc2), np.ones_like(sc2)], axis=1)
-        sigma = 0.5 * np.einsum("kv,kuvi,kuvj->uij", weights, kets, kets.conj())
-        # complex, so eigh solves the Hermitian problem and m_up keeps its dtype
-        sigma_up, sigma_dn = sigma.astype(np.complex128) / _QUADRATURE_POINTS
-        delta = residual @ (sigma_up - sigma_dn) @ residual
-        vals, vecs = np.linalg.eigh(delta)
-        r_up = vecs[:, vals > 1e-12] @ vecs[:, vals > 1e-12].conj().T
-        # restrict to the residual subspace, then assign its remainder to "down"
-        r_up = residual @ r_up @ residual
-        self.m_up = p1 + r_up
-        self.m_dn = np.eye(dim) - self.m_up
-
-    @staticmethod
-    def _ray_projector(v):
-        n = np.linalg.norm(v)
-        if n < 1e-9:
-            return np.zeros((v.size, v.size), dtype=np.complex128)
-        vn = v / n
-        return np.outer(vn, vn.conj())
+        self.m_up = _batch._eve_povm(spec.overlap_c_x, spec.overlap_c_y)
+        self.m_dn = np.eye(4) - self.m_up
 
     def prob_up(self, vec4) -> float:
         v = np.asarray(vec4, dtype=np.complex128)

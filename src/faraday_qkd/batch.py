@@ -156,11 +156,47 @@ def _flip(tree, label, cond):
     tree.amps = np.where(flip, _flipped(tree.amps, tree.sc.layout.index(label)), tree.amps)
 
 
+def make_ancilla_pair(c: float):
+    """Two normalized single-qubit kets with real inner product c."""
+    if not (0.0 <= c <= 1.0):
+        raise ValueError("overlap must lie in [0, 1]")
+    return np.array([1.0, 0.0]), np.array([c, np.sqrt(max(0.0, 1.0 - c * c))])
+
+
+def _eve_states(cx, cy):
+    """Eve's pair states given an up and a down home qubit, averaged over the
+    angle: (|e0h0><e0h0| + |e1h1><e1h1|) / 2 and (|e0h1><e0h1| + |e1h0><e1h0|)
+    / 2, e and h the pairs of overlaps cx and cy, E the lower bit."""
+    (e0, e1), (h0, h1) = make_ancilla_pair(cx), make_ancilla_pair(cy)
+    kets = np.array([[np.kron(h0, e0), np.kron(h1, e1)], [np.kron(h1, e0), np.kron(h0, e1)]])
+    return 0.5 * np.einsum("uki,ukj->uij", kets, kets).astype(np.complex128)
+
+
+def _eve_povm(cx, cy):
+    """Eve's M_up on one ancilla pair: the rays of |1> = e0h0 - e1h1 and of
+    |4> = e0h1 - e1h0 less its |1> part, each certain on a balanced attack,
+    and on the rest the Helstrom projector of sigma_up - sigma_dn
+    (``_eve_states``); complex (4, 4)."""
+    def ray(v):
+        n = np.linalg.norm(v)
+        return np.outer(v / n, v / n) if n >= 1e-9 else np.zeros((4, 4))
+
+    (e0, e1), (h0, h1) = make_ancilla_pair(cx), make_ancilla_pair(cy)
+    v4 = np.kron(h1, e0) - np.kron(h0, e1)
+    p1 = ray(np.kron(h0, e0) - np.kron(h1, e1))
+    p4 = ray(v4 - p1 @ v4)
+    residual = np.eye(4) - p1 - p4
+    sigma_up, sigma_dn = _eve_states(cx, cy)
+    vals, vecs = np.linalg.eigh(residual @ (sigma_up - sigma_dn) @ residual)
+    up = vecs[:, vals > 1e-12]
+    return p1 + residual @ (up @ up.conj().T) @ residual
+
+
 def _povm(tree):
-    """Eve's two-outcome POVM, on her (E, F) pair to guess Bob's home bit,
-    then on (E', F') to guess Alice's: P(up) is tr((M_up (x) 1) rho_b), the
-    identity on her other pair, over tr(rho_b)."""
-    m_up = np.asarray(tree.attack["povm_up"], dtype=np.complex128)
+    """Eve's two-outcome POVM (``_eve_povm``), on her (E, F) pair to guess
+    Bob's home bit, then on (E', F') to guess Alice's: P(up) is
+    tr((M_up (x) 1) rho_b), the identity on her other pair, over tr(rho_b)."""
+    m_up = _eve_povm(tree.attack["cx"], tree.attack["cy"])
     psi = tree.amps
     # M_up acts on the second-to-last axis: (E, F), then (E', F')
     for label, shape in (("guess_bob", (4, 4, 16)), ("guess_alice", (4, 64))):
@@ -335,15 +371,12 @@ def _compile(sc, attack):
 
 
 @lru_cache(maxsize=16)
-def _table(sc, values, povm):
+def _table(sc, values):
     """Kind ``sc``'s branch table for the attack whose ``params`` take
-    ``values`` and whose ``povm_up`` has the bytes ``povm`` (``b""`` without
-    Eve's POVM), compiled on first use and kept for the process; a kind with
-    neither shares one table.  The amplitudes are not kept, and the
+    ``values``, compiled on first use and kept for the process; a kind
+    without parameters has one table.  The amplitudes are not kept, and the
     coefficient arrays are read-only."""
     attack = dict(zip(sc.params, values))
-    if povm:
-        attack["povm_up"] = np.frombuffer(povm, dtype=np.complex128).reshape(4, 4)
     tree = _compile(sc, attack)
     tree.amps = tree.attack = None
     for step in tree.steps:
@@ -398,8 +431,9 @@ def _public(sc, rec):
 def protocol_rounds(u, attack=None):
     """Run rounds of the scenario ``attack["kind"]`` (default ``"none"``), one
     row of ``u`` each; the attack's parameters come from the same dict
-    (``gamma``; ``cx``, ``cy`` and ``povm_up`` for ``general``).  Returns the
-    public columns and every readout record.
+    (``gamma``; ``cx``, ``cy`` and ``gamma`` for ``general``, from which the
+    compile builds Eve's POVM).  Returns the public columns and every readout
+    record.
 
     The kind is compiled into its branch table once per process for each
     distinct spec (``_table``), and the rows are sampled from it in chunks of
@@ -410,10 +444,7 @@ def protocol_rounds(u, attack=None):
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
         raise ValueError(f"{attack['kind']} needs rounds of {sc.draws} draws, got shape {u.shape}")
     rows = u.reshape(-1, sc.draws // sc.copies)          # copies run as consecutive rows
-    povm = b""
-    if (_povm,) in sc.readout:
-        povm = np.asarray(attack["povm_up"], dtype=np.complex128).tobytes()
-    tbl = _table(sc, tuple(float(attack[p]) for p in sc.params), povm)
+    tbl = _table(sc, tuple(float(attack[p]) for p in sc.params))
     chunks = [_sample(tbl, rows[lo:lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
     rec = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     if sc.copies > 1:

@@ -3,9 +3,13 @@
 Everything here is built from raw numpy with closed-form branch enumeration,
 deliberately avoiding the package's gate machinery, so agreement between an
 oracle and the simulator checks two genuinely different computation paths.
+The one exception, ``eve_pair_states``, runs the scalar engine's gates and
+attack hooks, which share nothing with the batch compile it checks.
 Register conventions match the package: little-endian, |0> = up.
 """
 import numpy as np
+
+from faraday_qkd import adversary, qstate
 
 SQ2 = np.sqrt(2.0)
 UP = np.array([1.0, 0.0])
@@ -201,7 +205,7 @@ def discriminator_m_up(cx, cy):
     angle at a time: the ray projectors of |1> and |4> (the latter
     orthogonalised against the former), plus the projector onto the positive
     eigenspace of the residual-restricted, angle-averaged sigma_up -
-    sigma_dn.  The reference the package's one-shot quadrature must match."""
+    sigma_dn.  The reference the package's exact angle average must match."""
     def ray(v):
         n = np.linalg.norm(v)
         if n < 1e-9:
@@ -228,6 +232,28 @@ def discriminator_m_up(cx, cy):
     vals, vecs = np.linalg.eigh(residual @ (sigma_up / points - sigma_dn / points) @ residual)
     up = vecs[:, vals > 1e-12]
     return p1 + residual @ (up @ up.conj().T) @ residual
+
+
+def eve_pair_states(cx, cy, gamma=0.3, points=16):
+    """Eve's states of her (E, F) and (E', F') pairs given an up and a down
+    home qubit, from the scalar engine's register after the four attacked
+    legs, before any measurement: (E, F) conditioned on B's z bit (before
+    Bob's flip), (E', F') on A's, averaged over alpha and beta on the
+    points x points midpoint grid.  Returns (pair, up/down, 4, 4)."""
+    hooks = adversary.general_attack_hooks(adversary.GeneralAttackSpec(gamma, cx, cy))
+    grid = 2.0 * np.pi * (np.arange(points) + 0.5) / points
+    out = np.zeros((2, 2, 4, 4), dtype=complex)
+    for alpha in grid:
+        for beta in grid:
+            state = qstate.product_state([eq_ket(0.0), eq_ket(0.0), eq_ket(alpha), eq_ket(beta)])
+            # steps 3, 4, 6 and 7, each followed by Eve on its leg
+            for (control, target), hook in zip(((0, 2), (1, 2), (1, 3), (0, 3)), hooks):
+                state = hook.transform(qstate.apply_qfr(state, control, target), None)
+            psi = state.amplitudes.reshape([2] * 8)        # qubit q on axis 7 - q
+            for pair, (home, f, e) in enumerate(((1, 5, 4), (0, 7, 6))):
+                a = np.moveaxis(psi, [7 - home, 7 - f, 7 - e], [0, 1, 2]).reshape(2, 4, -1)
+                out[pair] += a @ a.conj().transpose(0, 2, 1)
+    return out / (points ** 2 / 2)                         # P(home bit) = 1/2
 
 
 # -- impersonation with a single home qubit -----------------------------------

@@ -93,11 +93,8 @@ def test_criterion_3_detection_formula():
     t0 = time.time()
     lines = []
     for i, c in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
-        spec = GeneralAttackSpec(EquatorAngle(0.7), c, c)
-        disc = EveDiscriminator(spec)
         u = harness.round_uniforms(1003 + i, 0, 100_000, 8)
-        cols = batch.protocol_rounds(u, {"kind": "general", "gamma": 0.7,
-                                         "cx": c, "cy": c, "povm_up": disc.m_up})
+        cols = batch.protocol_rounds(u, {"kind": "general", "gamma": 0.7, "cx": c, "cy": c})
         pd = float(np.mean(cols["k_alice_odd"] != cols["k_bob_odd"]))
         want = analysis.detection_probability(c, c)
         sigma = np.sqrt(max(want * (1 - want), 1e-9) / 100_000)

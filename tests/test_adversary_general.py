@@ -22,6 +22,7 @@ from faraday_qkd import qstate as qs
 from oracles import (
     attack_final_state,
     discriminator_m_up,
+    eve_pair_states,
     eq_ket,
     fid,
     keyed_rng,
@@ -43,8 +44,7 @@ def mc_detection(seed, n, attack_params):
 
 
 def general_params(gamma, cx, cy):
-    disc = EveDiscriminator(spec_of(gamma, cx, cy))
-    return {"kind": "general", "gamma": gamma, "cx": cx, "cy": cy, "povm_up": disc.m_up}
+    return {"kind": "general", "gamma": gamma, "cx": cx, "cy": cy}
 
 
 class TestAncillaPair:
@@ -241,10 +241,20 @@ class TestEveInference:
     @pytest.mark.parametrize("cx, cy", [(0.5, 0.5), (0.45, 0.45), (0.2, 0.8), (0.4, 0.7),
                                         (0.0, 0.0), (1.0, 1.0)])
     def test_m_up_matches_quadrature_loop(self, cx, cy):
-        """The one-shot quadrature (every angle in one ``_sextet`` call and one
-        einsum) gives the angle-by-angle loop's M_up to 1e-15."""
+        """M_up from the exact angle average equals the angle-by-angle
+        quadrature loop's to 1e-15: the 64-point midpoint rule is exact for
+        the degree-4 trig polynomials it averages."""
         m_up = EveDiscriminator(spec_of(0.3, cx, cy)).m_up
         assert np.max(np.abs(m_up - discriminator_m_up(cx, cy))) <= 1e-15
+
+    @pytest.mark.parametrize("cx, cy", [(0.5, 0.5), (0.2, 0.8), (0.5, 0.9)])
+    def test_eve_states_match_the_scalar_engine(self, cx, cy):
+        """sigma_up and sigma_dn, the states ``batch._eve_povm`` splits, are
+        Eve's states of both her pairs from the scalar engine's attack hooks,
+        averaged over a 16 x 16 angle grid, to 1e-12."""
+        want = batch._eve_states(cx, cy)
+        for got in eve_pair_states(cx, cy):
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_orthogonal_attack_reads_keys_perfectly(self):
         spec = spec_of(0.6, 0.0, 0.0)

@@ -6,7 +6,8 @@ hook; the lab-frame Helstrom oracle against a full eigendecomposition of
 Eve's 16x16 rho_1 - rho_0, and the frame's Helstrom step against that
 oracle; the branch table's Fourier coefficients against the branch run at
 random angles, and its angle averages against closed forms; the cached
-table against a fresh compile, and the cache's key; the sampler's
+table against a fresh compile, and the cache's key; Eve's POVM against a
+stale ``povm_up`` and the scalar discriminator; the sampler's
 outputs against its own chunk size; and the named wrappers against the
 executor."""
 from dataclasses import replace
@@ -192,8 +193,7 @@ def test_pns_4home_holds_few_states():
 def _attack(kind, gamma=0.83, cx=0.4, cy=0.7):
     attack = {"kind": kind, "gamma": gamma}
     if kind == "general":
-        spec = adversary.GeneralAttackSpec(gamma, cx, cy)
-        attack.update(cx=cx, cy=cy, povm_up=adversary.EveDiscriminator(spec).m_up)
+        attack.update(cx=cx, cy=cy)
     return attack
 
 
@@ -377,11 +377,10 @@ def test_sampled_table_equals_a_fresh_compile(kind, gamma, cx, cy, tables, monke
 
 
 def test_specs_that_differ_share_no_table(tables, monkeypatch):
-    """Specs that differ only in gamma, cx, cy or povm_up get tables of their
-    own; a kind without parameters gets one table whatever the dict carries."""
+    """Specs that differ only in gamma, cx or cy get tables of their own; a
+    kind without parameters gets one table whatever the dict carries."""
     base = _attack("general", 0.83, 0.4, 0.7)
-    variants = [base, {**base, "gamma": 0.84}, {**base, "cx": 0.41}, {**base, "cy": 0.71},
-                {**base, "povm_up": _attack("general", 0.83, 0.4, 0.71)["povm_up"]}]
+    variants = [base, {**base, "gamma": 0.84}, {**base, "cx": 0.41}, {**base, "cy": 0.71}]
     got = _sampled_tables(monkeypatch, *variants, dict(base))
     assert len({id(t) for t in got}) == len(variants) and got[-1] is got[0]
     for a, t in zip(variants[1:], got[1:]):
@@ -389,6 +388,24 @@ def test_specs_that_differ_share_no_table(tables, monkeypatch):
     none = _sampled_tables(monkeypatch, {"kind": "none"}, {**base, "kind": "none"},
                            {"kind": "none", "gamma": 2.0})
     assert none[0] is none[1] is none[2]
+
+
+def test_stale_povm_up_changes_nothing(tables):
+    """Eve's POVM comes from the spec's overlaps alone: a ``povm_up`` left in
+    the attack dict, zeros here, changes no column of a fresh compile, and
+    the scalar engine's ``EveDiscriminator`` holds the bytes of
+    ``_eve_povm``."""
+    attack = _attack("general", 0.83, 0.4, 0.7)
+    u = harness.round_uniforms(43, 0, 300, 8)
+    want = batch.protocol_rounds(u, attack)
+    tables.cache_clear()
+    got = batch.protocol_rounds(u, {**attack, "povm_up": np.zeros((4, 4))})
+    assert tables.cache_info().misses == 1
+    for name, col in want.items():
+        assert got[name].tobytes() == col.tobytes(), name
+    m_up = adversary.EveDiscriminator(adversary.GeneralAttackSpec(0.83, 0.4, 0.7)).m_up
+    assert m_up.dtype == np.complex128
+    assert m_up.tobytes() == batch._eve_povm(0.4, 0.7).tobytes()
 
 
 def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):

@@ -114,8 +114,7 @@ class TestScalarBatchEquivalence:
         disc = EveDiscriminator(spec)
         u = round_uniforms(902, 0, 150, 8)
         cols = batch.protocol_rounds(u, {"kind": "general", "gamma": 0.8,
-                                         "cx": 0.45, "cy": 0.45,
-                                         "povm_up": disc.m_up})
+                                         "cx": 0.45, "cy": 0.45})
         hooks = general_attack_hooks(spec)
         for r in range(150):
             rng = keyed_rng(902, r)
@@ -154,11 +153,10 @@ class TestRunExperiment:
         assert "trace dist min" in rep.extras
 
     def test_one_compile_per_spec_and_process(self, tmp_path, monkeypatch):
-        """A general run of four chunks compiles its branch table once and
-        builds Eve's discriminator once; a second run on the spec builds the
-        discriminator but does not compile, a run on another spec does both,
+        """A general run of four chunks compiles its branch table once; a
+        second run on the spec does not compile, a run on another spec does,
         and a run after the cache is cleared writes the same CSV bytes."""
-        counts = {"compile": 0, "disc": 0}
+        counts = {"compile": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -167,7 +165,6 @@ class TestRunExperiment:
             return call
 
         monkeypatch.setattr(batch, "_compile", counted("compile", batch._compile))
-        monkeypatch.setattr(harness, "EveDiscriminator", counted("disc", EveDiscriminator))
 
         def run(attack, name):
             path = tmp_path / name
@@ -179,11 +176,11 @@ class TestRunExperiment:
         spec = AttackChoice("general", 0.5, 0.5, 0.3)
         batch._table.cache_clear()
         first, after = run(spec, "a.csv")
-        assert after == {"compile": 1, "disc": 1}
-        assert run(spec, "b.csv") == (first, {"compile": 1, "disc": 2})
-        assert run(AttackChoice("general", 0.5, 0.5, 0.4), "c.csv")[1] == {"compile": 2, "disc": 3}
+        assert after == {"compile": 1}
+        assert run(spec, "b.csv") == (first, {"compile": 1})
+        assert run(AttackChoice("general", 0.5, 0.5, 0.4), "c.csv")[1] == {"compile": 2}
         batch._table.cache_clear()
-        assert run(spec, "d.csv") == (first, {"compile": 3, "disc": 4})
+        assert run(spec, "d.csv") == (first, {"compile": 3})
 
 
 class TestCsv:
