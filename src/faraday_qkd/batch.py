@@ -19,13 +19,14 @@ register at all-zero angles.  An operation on qubit q in the basis at angle
 phi acts on psi in the basis at phi - theta_q; a z readout, a NOT and a QFR
 commute with R.  A measurement splits branch b into its unnormalised
 projections 2b and 2b + 1 and draws nothing; each draw is a step whose
-numerator over denominator is P(outcome 0 | branch).  Without a channel
-operation psi does not depend on the angles, so the tree runs at one point;
-with one, each numerator and denominator is a trig polynomial of degree 2 in
-alpha and beta, fixed by a 5 x 5 grid (``_compile``).  A round takes
-outcome 1 where its draw >= that ratio at its angles and branch
-(``_sample``).  ``_table`` keeps the tables of the 16 most recently used
-specs, so later calls on a spec only sample.
+numerator is P(branch, outcome 0).  Without a channel operation psi does not
+depend on the angles, so the tree runs at one point; with one, each numerator
+is a real trig polynomial of degree 2 in alpha and beta, 25 coefficients on
+phi(alpha) (x) phi(beta), phi = [1, cos, sin, cos 2, sin 2], fixed by a 5 x 5
+grid (``_compile``).  A round carries its branch's weight from 1 and takes
+outcome 1 where its draw >= the numerator at its angles and branch over that
+weight (``_sample``).  ``_table`` keeps the tables of the 16 most recently
+used specs, so later calls on a spec only sample.
 
 Gates and channel operations address the register by position, in the order
 of ``Scenario.layout``, Eve's ancillas on top; readout steps name qubits by
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# rows per sampler pass: it gathers (rows, 25) coefficient arrays per step
+# rows per sampler pass: it gathers a (rows, 25) coefficient array per step
 CHUNK = 2048
 
 
@@ -68,8 +69,9 @@ def _weight(amps, other=None):
 class _Tree:
     """A kind's branches at angle points: ``amps`` (points, branches,
     2**qubits); each branch's recorded ``bits``; ``steps``, one (record,
-    invert, splits, numerator, denominator) per draw after the angles, the
-    last two per (point, branch); ``fixed``, the constant records."""
+    invert, splits, numerator) per draw after the angles, the numerator per
+    (point, branch), over the branch's weight, which the sampler carries;
+    ``fixed``, the constant records."""
 
     def __init__(self, sc, attack, angles):
         self.sc, self.attack, self.angles = sc, attack, angles
@@ -98,7 +100,7 @@ def _measure(tree, q, theta=None, record=None, invert=False):
     and the step gives outcome 1 at draw >= P(0), recorded as ``record`` (its
     complement with ``invert``)."""
     kids = _project(tree.amps, q, theta)
-    tree.steps.append((record, invert, True, _weight(kids[:, :, 0]), _weight(tree.amps)))
+    tree.steps.append((record, invert, True, _weight(kids[:, :, 0])))
     tree.amps = kids.reshape(len(kids), -1, kids.shape[3])
     tree.bits = {k: np.repeat(v, 2) for k, v in tree.bits.items()}
     if record:
@@ -201,7 +203,7 @@ def _povm(tree):
     # M_up acts on the second-to-last axis: (E, F), then (E', F')
     for label, shape in (("guess_bob", (4, 4, 16)), ("guess_alice", (4, 64))):
         up = _weight(psi, (m_up @ psi.reshape(*psi.shape[:2], *shape)).reshape(psi.shape))
-        tree.steps.append((label, False, False, up, _weight(psi)))
+        tree.steps.append((label, False, False, up))
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +241,7 @@ def _helstrom(tree):
     a = tree.amps.reshape(*tree.amps.shape[:2], 16, -1)      # Eve's photons on top
     p1 = np.sum(np.abs(np.einsum("pbeh,ek->pbkh", a, up)) ** 2, axis=(2, 3))
     tree.fixed["trace_dist"] = t
-    tree.steps.append(("guess", True, False, p1, _weight(tree.amps)))
+    tree.steps.append(("guess", True, False, p1))
 
 
 # -- the scenario table --------------------------------------------------------
@@ -350,23 +352,25 @@ def _branches(sc, attack, angles):
     return tree
 
 
-def _freq(sc):
-    """Each angle's Fourier frequencies, in ``np.fft`` order: 0, 1, 2, -2, -1
-    with a ``channel``, as every step is a trig polynomial of degree 2 in
-    alpha and beta; 0 alone without one, as psi is then constant."""
-    return np.array([0, 1, 2, -2, -1] if sc.channel else [0])
+def _phi(theta):
+    """phi(theta) = [1, cos, sin, cos 2, sin 2] of each angle, (angles, 5): a
+    trig polynomial of degree 2 is phi . its coefficients."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.ones_like(c), c, s, 2 * c * c - 1, 2 * s * c], axis=-1)
 
 
 def _compile(sc, attack):
-    """Kind ``sc``'s branch table: its tree on the n x n grid of (alpha, beta),
-    n frequencies per angle, whose ``fft2`` gives each step's numerator and
-    denominator exactly, (branches, n**2) coefficients."""
-    n = len(_freq(sc))
+    """Kind ``sc``'s branch table: its tree on the n x n grid 2 pi m / n of
+    (alpha, beta), n = 5 with a ``channel`` and 1 without (psi is constant),
+    each step's numerator as (branches, n**2) real coefficients on phi(alpha)
+    (x) phi(beta): phi's inverse on the grid, phi^T diag(1, 2, 2, 2, 2) / n."""
+    n = 5 if sc.channel else 1
     theta = 2.0 * np.pi * np.arange(n) / n
+    inv = (_phi(theta).T * np.array([1.0, 2, 2, 2, 2])[:, None] / n)[:n]
     grid = np.meshgrid(theta, theta, indexing="ij")
     tree = _branches(sc, attack, {k: g.ravel() for k, g in zip(("alpha", "beta"), grid)})
-    tree.steps = [(*step[:3], *(np.fft.fft2(v.T.reshape(-1, n, n)).reshape(v.shape[::-1]) / n ** 2
-                                for v in step[3:])) for step in tree.steps]
+    tree.steps = [(*step[:3], np.einsum("jm,kl,mlb->bjk", inv, inv, step[3].reshape(n, n, -1))
+                   .reshape(-1, n * n)) for step in tree.steps]
     return tree
 
 
@@ -380,36 +384,38 @@ def _table(sc, values):
     tree = _compile(sc, attack)
     tree.amps = tree.attack = None
     for step in tree.steps:
-        for coeffs in step[3:]:
-            coeffs.flags.writeable = False
+        step[3].flags.writeable = False
     return tree
 
 
 def _basis(sc, angles):
-    """Each round's e^{i(j alpha + k beta)}, j and k over ``_freq``, (rounds,
-    frequencies**2)."""
-    ea, eb = (np.exp(1j * np.multiply.outer(angles[k], _freq(sc))) for k in ("alpha", "beta"))
-    return (ea[:, :, None] * eb[:, None, :]).reshape(len(ea), -1)
+    """Each round's phi(alpha) (x) phi(beta), real, (rounds, 25) with a
+    ``channel`` and (rounds, 1) of ones without."""
+    if not sc.channel:
+        return np.ones((len(angles["alpha"]), 1))
+    pa, pb = (_phi(angles[k]) for k in ("alpha", "beta"))
+    return (pa[:, :, None] * pb[:, None, :]).reshape(len(pa), -1)
 
 
 def _sample(tbl, u):
     """One chunk of rounds from the branch table ``tbl``: the angles, then
-    each step's outcome, 1 where the draw >= its numerator over denominator
-    at the round's angles and branch b, a split moving the round to 2b +
-    outcome.  Only a rounding event reaches a branch of probability 0, so
-    its 0/0 is left silent."""
+    each step's outcome, 1 where the draw >= p / w, p its numerator at the
+    round's angles and branch b, w the branch's weight (1 at the normalised
+    frame register); a split moves the round to 2b + outcome, of weight p or
+    w - p.  Only a rounding event reaches weight 0, so its 0/0 is silent."""
     draws = iter(u.T)
     rec = {name: 2.0 * np.pi * next(draws) for name in _angles(tbl.sc)}
     basis = _basis(tbl.sc, rec)
     branch = np.zeros(len(u), dtype=np.int64)
+    w = np.ones(len(u))
     with np.errstate(invalid="ignore", divide="ignore"):
-        for record, invert, splits, num, den in tbl.steps:
-            p0 = (np.einsum("rk,rk->r", num[branch], basis).real
-                  / np.einsum("rk,rk->r", den[branch], basis).real)
-            bit = (next(draws) >= p0).astype(np.int64)
+        for record, invert, splits, num in tbl.steps:
+            p = np.einsum("rk,rk->r", num.take(branch, axis=0), basis)
+            bit = (next(draws) >= p / w).astype(np.int64)
             if record:
                 rec[record] = bit ^ invert
-            branch = 2 * branch + bit if splits else branch
+            if splits:
+                branch, w = 2 * branch + bit, np.where(bit, w - p, p)
     if next(draws, None) is not None:
         raise RuntimeError("the scenario's operations left draws unused")
     rec.update((name, np.full(len(u), v)) for name, v in tbl.fixed.items())
@@ -435,10 +441,10 @@ def protocol_rounds(u, attack=None):
     compile builds Eve's POVM).  Returns the public columns and every readout
     record.
 
-    The kind is compiled into its branch table once per process for each
-    distinct spec (``_table``), and the rows are sampled from it in chunks of
-    at most ``CHUNK``.  Every row is sampled on its own, so the chunk size
-    changes no public column."""
+    The kind is compiled into its branch table of real coefficients once per
+    process for each distinct spec (``_table``), and the rows are sampled
+    from it in chunks of at most ``CHUNK``, each carrying its branch's weight.
+    Every row is sampled on its own, so the chunk size changes no column."""
     attack = attack or {"kind": "none"}
     sc = SCENARIOS[attack["kind"]]
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):

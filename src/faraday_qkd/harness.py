@@ -160,18 +160,22 @@ def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.n
     all rows in one pass: block k = 1, 2, ... is Philox4x64-10 of the counter
     (k, 0, 0, 0), its words in order, each word x giving ``(x >> 11) * 2**-53``.
     The tier-1 tests pin it byte for byte against numpy's ``Philox``.
+
+    Words start at the shapes they vary over and broadcast as the rounds mix
+    them, so round 1's products and round 2's x0 product run on ``blocks``
+    words, not ``count * blocks``.
     """
     blocks = -(-draws // 4)
-    x = [np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))]
-    x += [np.zeros((count, blocks), dtype=np.uint64)] * 3
-    k0 = np.full((count, 1), master_seed, dtype=np.uint64)
+    x = [np.arange(1, blocks + 1, dtype=np.uint64)[None, :]]
+    x += [np.zeros((1, 1), dtype=np.uint64)] * 3
+    k0 = np.full((1, 1), master_seed, dtype=np.uint64)
     k1 = (np.uint64(start) + np.arange(count, dtype=np.uint64))[:, None]
     for _ in range(10):
         hi0, lo0 = _mulhilo(x[0], _PHILOX_M[0])
         hi1, lo1 = _mulhilo(x[2], _PHILOX_M[1])
         x = [hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0]
         k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-    words = np.stack(x, axis=-1).reshape(count, 4 * blocks)[:, :draws]
+    words = np.stack(np.broadcast_arrays(*x), axis=-1).reshape(count, 4 * blocks)[:, :draws]
     return (words >> 11) * 2.0 ** -53
 
 
@@ -291,7 +295,7 @@ def _information(x, y) -> float:
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run N protocol rounds under the configured attack, verify M test bits,
     aggregate the report, and (optionally) write per-round CSV."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = cfg.rounds
     attack = cfg.attack
     eve_key = batch.SCENARIOS[attack.kind].eve_key
@@ -346,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         empirical_i_ab=i_ab,
         empirical_i_ae=i_ae,
         final_key_length=key_len,
-        wall_time_s=time.time() - t0,
+        wall_time_s=time.perf_counter() - t0,
         extras=extras,
     )
 

@@ -4,8 +4,9 @@ register, in the angle frame and rotated back, against the scalar product
 state and gates; the general attack's entangler against the scalar channel
 hook; the lab-frame Helstrom oracle against a full eigendecomposition of
 Eve's 16x16 rho_1 - rho_0, and the frame's Helstrom step against that
-oracle; the branch table's Fourier coefficients against the branch run at
-random angles, and its angle averages against closed forms; the cached
+oracle; the branch table's real trig coefficients against the branch run at
+random angles, its numerators chained from weight 1 against the branch run's
+leaf weights, and its angle averages against closed forms; the cached
 table against a fresh compile, and the cache's key; Eve's POVM against a
 stale ``povm_up`` and the scalar discriminator; the sampler's
 outputs against its own chunk size; and the named wrappers against the
@@ -153,7 +154,7 @@ def test_helstrom_matches_full_eigh(kind, ranks):
 def test_frame_helstrom_matches_lab_oracle(kind):
     """At random alpha and beta, the Helstrom step solved once per kind in the
     angle frame gives each round the lab-frame oracle's trace distance and
-    P(guess key 1), its numerator over its denominator, to 1e-12.  Each
+    P(guess key 1), its numerator over the branch's weight, to 1e-12.  Each
     branch's Eve register is replaced by a random unnormalised one, so that
     P(guess key 1) is neither 0 nor 1."""
     sc = batch.SCENARIOS[kind]
@@ -164,7 +165,8 @@ def test_frame_helstrom_matches_lab_oracle(kind):
                  for d in (16, dim // 16))
     tree.amps = (eve[:, :, None] * rest[:, None, :]).reshape(tree.amps.shape)   # Eve on top
     batch._helstrom(tree)
-    record, invert, splits, num, den = tree.steps[-1]
+    record, invert, splits, num = tree.steps[-1]
+    weight = batch._weight(tree.amps)
     # the guess is key 1 at draw < P(guess key 1)
     assert (record, invert, splits) == ("guess", True, False)
     rounds = rng.integers(branches, size=40)
@@ -176,7 +178,7 @@ def test_frame_helstrom_matches_lab_oracle(kind):
     t_ref, p_ref = helstrom_lab(prepared, lab, angles["alpha"], angles["beta"],
                                 sc.layout.index("C"))
     assert np.all((p_ref > 1e-6) & (p_ref < 1 - 1e-6))
-    np.testing.assert_allclose(num[0, rounds] / den[0, rounds], p_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(num[0, rounds] / weight[0, rounds], p_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(tree.fixed["trace_dist"], t_ref, rtol=0, atol=1e-12)
 
 
@@ -185,9 +187,9 @@ def test_pns_4home_holds_few_states():
     one per outcome string of its six readouts: a fall back to a grid or to
     per-round work would show here."""
     tbl = batch._compile(batch.SCENARIOS["pns:4home"], {})
-    record, _, _, num, den = tbl.steps[-1]
+    record, _, _, num = tbl.steps[-1]
     assert record == "guess" and tbl.amps.shape[:2] == (1, 64)
-    assert num.shape == den.shape == (64, 1)
+    assert num.shape == (64, 1)
 
 
 def _attack(kind, gamma=0.83, cx=0.4, cy=0.7):
@@ -200,10 +202,10 @@ def _attack(kind, gamma=0.83, cx=0.4, cy=0.7):
 @pytest.mark.parametrize("kind, cx, cy", [("general", 0.5, 0.5), ("general", 0.2, 0.8),
                                           ("general", 0.9, 0.35), ("intercept", None, None)])
 def test_table_is_exact_at_random_angles(kind, cx, cy):
-    """Every step's numerator and denominator, evaluated from the table's
-    5 x 5 Fourier coefficients at random alpha and beta, equals the branch
-    run at those angles to 1e-12, at a random gamma: the degree-2 bound the
-    table rests on, which a kind of higher degree breaks."""
+    """Every step's numerator, evaluated from the table's 5 x 5 real trig
+    coefficients at random alpha and beta, equals the branch run at those
+    angles to 1e-12, at a random gamma: the degree-2 bound the table rests
+    on, which a kind of higher degree breaks."""
     rng = np.random.default_rng(len(kind) + int(10 * (cx or 0)))
     sc = batch.SCENARIOS[kind]
     attack = _attack(kind, rng.uniform(0, 2 * np.pi), cx, cy)
@@ -214,31 +216,66 @@ def test_table_is_exact_at_random_angles(kind, cx, cy):
     assert len(tbl.steps) == len(run.steps) == sc.draws - 2
     for compiled, direct in zip(tbl.steps, run.steps):
         assert compiled[:3] == direct[:3]
-        for coeffs, values in zip(compiled[3:], direct[3:]):
-            assert coeffs.shape == (values.shape[1], 25)
-            np.testing.assert_allclose((coeffs @ basis.T).real, values.T, rtol=0, atol=1e-12)
+        num, values = compiled[3], direct[3]
+        assert num.dtype == np.float64 and num.shape == (values.shape[1], 25)
+        np.testing.assert_allclose(np.einsum("bk,rk->rb", num, basis), values,
+                                   rtol=0, atol=1e-12)
 
 
-def _outcomes(step):
-    """A step's angle-averaged P(branch, outcome), (branches, 2): the constant
-    terms of its numerator and denominator."""
-    *_, num, den = step
-    p0, p = num[:, 0].real, den[:, 0].real
-    return np.stack([p0, p - p0], axis=1)
+def _chained(weight, steps, p):
+    """Each step with its P(branch, outcome), (..., branches, 2), from the
+    numerators ``p(num)`` and the (..., 1) weight before the first step,
+    chained as the sampler does: a split's outcomes become the branches of
+    the next step."""
+    for step in steps:
+        p0 = p(step[3])
+        out = np.stack([p0, weight - p0], axis=-1)
+        yield step, out
+        if step[2]:
+            weight = out.reshape(*out.shape[:-2], -1)
+
+
+def _outcomes(tbl):
+    """Each step with its angle-averaged P(branch, outcome), (branches, 2):
+    the weights chained from 1 through each step's constant term."""
+    return _chained(np.ones(1), tbl.steps, lambda num: num[:, 0])
+
+
+def _leaves(tbl):
+    """Angle-averaged P(leaf) over the leaves of the last splitting step."""
+    return [out for step, out in _outcomes(tbl) if step[2]][-1].ravel()
 
 
 def _detection(tbl):
     """Angle-averaged P(C != D), over the leaves of the last splitting step."""
-    leaves = _outcomes([s for s in tbl.steps if s[2]][-1]).ravel()
-    return np.sum(leaves[tbl.bits["C"] != tbl.bits["D"]])
+    return np.sum(_leaves(tbl)[tbl.bits["C"] != tbl.bits["D"]])
 
 
 def _accuracy(tbl, record, key):
     """Angle-averaged P(record == key) for Eve's guess ``record``, a step
     after the last split, and ``key``, one bit per leaf."""
-    step = next(s for s in tbl.steps if s[0] == record)
-    out = _outcomes(step)
+    step, out = next((step, out) for step, out in _outcomes(tbl) if step[0] == record)
     return np.sum(out[np.arange(len(out)), key ^ step[1]])
+
+
+@pytest.mark.parametrize("kind", batch.SCENARIOS)
+def test_carried_weights_are_the_leaf_weights(kind):
+    """The sampler's carried weight, for every kind: chained from 1 through
+    the compiled numerators at random alpha and beta, the weights after the
+    last split equal the branch run's leaf weights ||psi_leaf||**2 at those
+    angles, to 1e-12."""
+    rng = np.random.default_rng(len(kind) + 11)
+    sc = batch.SCENARIOS[kind]
+    attack = _attack(kind, rng.uniform(0, 2 * np.pi))
+    tbl = batch._compile(sc, attack)
+    angles = dict(zip(batch._angles(sc), rng.uniform(0, 2 * np.pi, (3, 30))))
+    basis = batch._basis(sc, angles)
+    chain = _chained(np.ones((30, 1)), tbl.steps, lambda num: np.einsum("bk,rk->rb", num, basis))
+    leaves = [out for step, out in chain if step[2]][-1].reshape(30, -1)
+    run = batch._branches(sc, attack, angles)
+    want = batch._weight(run.amps)
+    assert leaves.shape == want.shape == (30, tbl.amps.shape[1])
+    np.testing.assert_allclose(leaves, want, rtol=0, atol=1e-12)
 
 
 def _within_3_sigma(rate, p, n):
@@ -310,7 +347,7 @@ def test_two_home_detection_rate_from_marginals():
     """Eve's two copies are independent runs of the baseline, so
     P(C0 != D1) = 1/2 follows from the copies' marginals of C and D."""
     tbl = batch._compile(batch.SCENARIOS["impersonate:two"], {})
-    leaves = _outcomes([s for s in tbl.steps if s[2]][-1]).ravel()
+    leaves = _leaves(tbl)
     c1, d1 = (np.sum(leaves[tbl.bits[k] == 1]) for k in ("C", "D"))
     assert c1 * (1 - d1) + (1 - c1) * d1 == pytest.approx(0.5, rel=0, abs=1e-12)
 
@@ -410,17 +447,17 @@ def test_stale_povm_up_changes_nothing(tables):
 
 def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
     """A cached table keeps no amplitudes and no attack dict, and every
-    coefficient array is read-only and (branches, frequencies**2)."""
+    numerator array is read-only and (branches, 25) with a channel, (branches,
+    1) without."""
     got = _sampled_tables(monkeypatch, *(_attack(kind) for kind in batch.SCENARIOS))
     assert tables.cache_info().currsize == len(batch.SCENARIOS)
     for tbl in got:
         assert tbl.amps is None and tbl.attack is None
-        terms = len(batch._freq(tbl.sc)) ** 2
-        for *_, num, den in tbl.steps:
-            for coeffs in (num, den):
-                assert not coeffs.flags.writeable and coeffs.shape[1:] == (terms,)
-                with pytest.raises(ValueError):
-                    coeffs[0, 0] = 0
+        terms = 25 if tbl.sc.channel else 1
+        for *_, num in tbl.steps:
+            assert not num.flags.writeable and num.shape[1:] == (terms,)
+            with pytest.raises(ValueError):
+                num[0, 0] = 0
 
 
 @pytest.mark.parametrize("kind, variant", [("impersonate:one", None),

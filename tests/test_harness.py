@@ -74,7 +74,8 @@ class TestConfig:
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
 def test_round_uniforms_is_numpy_philox(seed):
     """Round r's draws are numpy's Philox(key=(seed, r)) stream, byte for byte."""
-    for start, count in ((0, 3), (harness.CHUNK_ROUNDS - 1, 3), (2**40, 3), (2**64 - 3, 2)):
+    for start, count in ((0, 3), (harness.CHUNK_ROUNDS - 1, 3), (2**40, 3), (2**64 - 3, 2),
+                         (7, 1), (2**32 - 20, 64)):
         for draws in range(1, 13):
             u = round_uniforms(seed, start, count, draws)
             ref = np.stack([keyed_rng(seed, start + i).random(draws) for i in range(count)])
