@@ -224,10 +224,54 @@ class TestCsv:
             "outcome": rng.choice(np.array([-1, 1]), rows),
             "flag": rng.random(rows) < 0.5,
             "uint": np.resize(np.array([0, 7, 2 ** 64 - 1], dtype=np.uint64), rows),
+            "pow10": np.resize(np.array(POW10_INTS), rows),
+            "upow10": np.resize(np.array([10 ** k + d for k in range(20) for d in (-1, 0)],
+                                         dtype=np.uint64), rows),
+            # integer columns spanning at most 256 values are gathered from a table
+            "pm1": rng.integers(-1, 2, rows),
+            "negative": rng.integers(-3, 0, rows),
+            "mixed_width": rng.integers(-10, 10, rows),
+            "zero": np.zeros(rows, dtype=np.int64),
+            "minus_one": np.full(rows, -1),
+            "span_256": np.resize(np.arange(-100, 156), rows),
+            "span_257": np.resize(np.arange(-100, 157), rows),
+            "all_true": np.ones(rows, dtype=bool),
+            "int64_min": np.resize(np.arange(-2 ** 63, -2 ** 63 + 6), rows),
+            "uint64_max": np.resize(np.arange(2 ** 64 - 6, 2 ** 64, dtype=np.uint64), rows),
+            # small in the first block, as wide as int64 in the next
+            "blocks": np.where(np.arange(rows) < harness.CHUNK_ROUNDS, rng.integers(0, 2, rows),
+                               np.resize(np.array(SPECIAL_INTS), rows)),
         }
         path = tmp_path / "o.csv"
         write_csv(str(path), cols, order=tuple(cols))
         assert path.read_bytes() == percent_csv(cols, tuple(cols))
+
+    def test_successful_write_removes_nothing(self, tmp_path, monkeypatch):
+        removed = []
+        monkeypatch.setattr(harness.os, "remove", removed.append)
+        write_csv(str(tmp_path / "ok.csv"), {"x": np.arange(3)}, order=("x",))
+        assert removed == []
+        assert os.listdir(tmp_path) == ["ok.csv"]
+
+    def test_failed_block_keeps_the_old_file(self, tmp_path, monkeypatch):
+        # an error that is not an OSError; TestCli covers the OSError case
+        p = tmp_path / "run.csv"
+        p.write_bytes(b"old contents\n")
+        calls = []
+        block = harness._csv_block
+
+        def fail_after_the_first(cols):
+            calls.append(len(cols[0]))
+            if len(calls) > 1:
+                raise RuntimeError("formatter bug")
+            return block(cols)
+
+        monkeypatch.setattr(harness, "_csv_block", fail_after_the_first)
+        with pytest.raises(RuntimeError, match="formatter bug"):
+            write_csv(str(p), {"x": np.arange(3 * harness.CHUNK_ROUNDS)}, order=("x",))
+        assert calls == [harness.CHUNK_ROUNDS] * 2
+        assert p.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["run.csv"]
 
     def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
         rows = 200_000
@@ -253,6 +297,8 @@ SPECIAL_FLOATS = [0.0, -0.0, -1.5, -2 * np.pi, np.nan, np.inf, -np.inf, 5e-324, 
                   1e300, 1e-11, 1e11, 1e12, 1.000000000005, 9.9999999999995,
                   999999999999.5, 0.1234567890125]
 SPECIAL_INTS = [0, 1, -1, 9, 10, 99, 100, 2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63]
+# both sides of every power-of-ten boundary that int64 holds, at both signs
+POW10_INTS = [s * (10 ** k + d) for k in range(19) for d in (-1, 0) for s in (1, -1)]
 
 
 # SHA-256 of the CSV, then of the report text without its wall-time line, of
@@ -450,6 +496,27 @@ class TestCli:
         rc = harness.main(["simulate", "--rounds", "50", "--seed", "3", "--out", str(p)])
         assert rc == 2
         assert "cannot write" in capsys.readouterr().err
+        assert p.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["run.csv"]
+
+    def test_failed_block_exits_two_and_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                                           capsys):
+        p = tmp_path / "run.csv"
+        p.write_bytes(b"old contents\n")
+        calls = []
+
+        def fail_after_the_first(cols):
+            calls.append(len(cols[0]))
+            if len(calls) > 1:
+                raise OSError("disk full")
+            return b""
+
+        monkeypatch.setattr(harness, "_csv_block", fail_after_the_first)
+        rc = harness.main(["simulate", "--rounds", str(2 * harness.CHUNK_ROUNDS), "--seed", "3",
+                           "--out", str(p)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("i/o error: cannot write")
+        assert calls == [harness.CHUNK_ROUNDS] * 2
         assert p.read_bytes() == b"old contents\n"
         assert os.listdir(tmp_path) == ["run.csv"]
 
