@@ -7,11 +7,18 @@ Conventions (fixed repo-wide):
   * computational basis: ``|0> = |up>``, ``|1> = |down>``;
   * equator ket ``|phi> = (|up> + e^{i phi}|down>)/sqrt(2)``.
 
+A gate or measurement on qubit q works on the view
+``amplitudes.reshape(-1, 2, 1 << q)``: axis 1 is qubit q, axis 0 the qubits
+above it and axis 2 those below, so a 2x2 operator acts with one ``matmul``.
+The QFR phase diagonal of each (register size, control, target) is built
+once and cached read-only.
+
 State vectors are single-owner values; every public operation returns a fresh
 StateVector and leaves its input untouched.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,29 +92,36 @@ def product_state(factors) -> StateVector:
     amp = np.array([1.0 + 0j])
     for f in factors:
         vec = f.amplitudes if isinstance(f, StateVector) else np.asarray(f, dtype=np.complex128)
-        amp = np.kron(vec, amp)
-    return StateVector(int(round(np.log2(amp.size))), amp)
+        amp = np.multiply.outer(vec, amp).ravel()
+    return StateVector(amp.size.bit_length() - 1, amp)
 
 
-def _axis(n: int, q: int) -> int:
-    return n - 1 - q
+def _view(s: StateVector, q: int) -> np.ndarray:
+    """(hi, 2, lo) view of the amplitudes with qubit q on axis 1."""
+    s._check_qubit(q)
+    return s.amplitudes.reshape(-1, 2, 1 << q)
 
 
 def apply_1q_unitary(s: StateVector, q: int, u: np.ndarray) -> StateVector:
-    s._check_qubit(q)
-    n = s.num_qubits
-    a = s.amplitudes.reshape([2] * n)
-    ax = _axis(n, q)
-    a = np.moveaxis(np.tensordot(u, np.moveaxis(a, ax, 0), axes=([1], [0])), 0, ax)
-    return StateVector(n, a.reshape(-1))
+    return StateVector(s.num_qubits, (u @ _view(s, q)).reshape(-1))
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+_IDENTITY = np.eye(2, dtype=np.complex128)
 
 
 def apply_pauli_x(s: StateVector, q: int) -> StateVector:
     """Bit flip (NOT gate) on qubit q."""
     return apply_1q_unitary(s, q, _PAULI_X)
+
+
+@functools.lru_cache(maxsize=None)
+def _qfr_phases(n: int, control: int, target: int) -> np.ndarray:
+    """Read-only diagonal of apply_qfr on an n-qubit register."""
+    idx = np.arange(1 << n)
+    phases = np.exp(-0.25j * np.pi * (1 - 2 * (((idx >> control) ^ (idx >> target)) & 1)))
+    phases.flags.writeable = False
+    return phases
 
 
 def apply_qfr(s: StateVector, control: int, target: int) -> StateVector:
@@ -121,10 +135,7 @@ def apply_qfr(s: StateVector, control: int, target: int) -> StateVector:
     s._check_qubit(target)
     if control == target:
         raise ValueError("control and target must differ")
-    idx = np.arange(s.amplitudes.size)
-    zc = 1 - 2 * ((idx >> control) & 1)
-    zt = 1 - 2 * ((idx >> target) & 1)
-    return StateVector(s.num_qubits, s.amplitudes * np.exp(-0.25j * np.pi * zc * zt))
+    return StateVector(s.num_qubits, s.amplitudes * _qfr_phases(s.num_qubits, control, target))
 
 
 def append_qubit(s: StateVector, ket=None) -> StateVector:
@@ -132,36 +143,31 @@ def append_qubit(s: StateVector, ket=None) -> StateVector:
     if ket is None:
         ket = np.array([1.0, 0.0])
     vec = ket.amplitudes if isinstance(ket, StateVector) else np.asarray(ket, dtype=np.complex128)
-    return StateVector(s.num_qubits + 1, np.kron(vec, s.amplitudes))
+    return StateVector(s.num_qubits + 1, np.multiply.outer(vec, s.amplitudes).ravel())
 
 
 def apply_controlled_unitary(s: StateVector, control: int, target: int,
                              u: np.ndarray) -> StateVector:
     """Apply u on target when qubit control is in |1>."""
     s._check_qubit(control)
-    s._check_qubit(target)
     if control == target:
         raise ValueError("control and target must differ")
-    n = s.num_qubits
-    a = s.amplitudes.reshape([2] * n).copy()
-    a = np.moveaxis(a, [_axis(n, control), _axis(n, target)], [0, 1])
-    a[1] = np.tensordot(u, a[1], axes=([1], [0]))
-    a = np.moveaxis(a, [0, 1], [_axis(n, control), _axis(n, target)])
-    return StateVector(n, a.reshape(-1))
+    on = (np.arange(s.amplitudes.size) >> control) & 1 == 1
+    return StateVector(s.num_qubits, np.where(on, (u @ _view(s, target)).ravel(), s.amplitudes))
+
+
+def _measure(s: StateVector, r: np.ndarray, v: np.ndarray, rng):
+    """Measure in the orthonormal basis of v's columns (outcome +1 is column 0),
+    given r = v^dagger @ view: collapse r, then put the kept row back on its column."""
+    p0 = float(np.sum(np.abs(r[:, 0, :]) ** 2))
+    bit = 0 if rng.random() < p0 else 1
+    kept = r[:, bit, :] / np.sqrt(p0 if bit == 0 else 1.0 - p0)
+    return 1 - 2 * bit, StateVector(s.num_qubits, (v[:, bit, None] * kept[:, None]).ravel())
 
 
 def measure_z(s: StateVector, q: int, rng):
     """Projective sigma^z measurement; returns (outcome in {+1,-1}, collapsed)."""
-    s._check_qubit(q)
-    n = s.num_qubits
-    a = s.amplitudes.reshape(-1, 2, 2 ** q)
-    p0 = float(np.sum(np.abs(a[:, 0, :]) ** 2))
-    bit = 0 if rng.random() < p0 else 1
-    out = np.zeros_like(a)
-    out[:, bit, :] = a[:, bit, :]
-    p = p0 if bit == 0 else 1.0 - p0
-    out /= np.sqrt(p)
-    return (1 - 2 * bit), StateVector(n, out.reshape(-1))
+    return _measure(s, _view(s, q), _IDENTITY, rng)
 
 
 def measure_equator(s: StateVector, q: int, phi, rng):
@@ -171,9 +177,7 @@ def measure_equator(s: StateVector, q: int, phi, rng):
     of cos(phi) sigma^x + sin(phi) sigma^y).
     """
     v = basis_rotation(phi)
-    rotated = apply_1q_unitary(s, q, v.conj().T)
-    outcome, collapsed = measure_z(rotated, q, rng)
-    return outcome, apply_1q_unitary(collapsed, q, v)
+    return _measure(s, v.conj().T @ _view(s, q), v, rng)
 
 
 @dataclass
@@ -209,7 +213,7 @@ def reduced_density(s: StateVector, keep) -> DensityMatrix:
     a = s.amplitudes.reshape([2] * n)
     # axis of qubit q is n-1-q; order the kept block highest-qubit-first so a
     # C-order reshape leaves keep[0] as bit 0 of the reduced index
-    keep_hi_to_lo = [_axis(n, q) for q in reversed(keep)]
+    keep_hi_to_lo = [n - 1 - q for q in reversed(keep)]
     other_axes = [ax for ax in range(n) if ax not in keep_hi_to_lo]
     a = np.transpose(a, other_axes + keep_hi_to_lo)
     dk = 2 ** len(keep)

@@ -100,30 +100,38 @@ class TestScalarBatchEquivalence:
                 cols["k_bob_odd"][r], cols["k_bob_even"][r])
 
     def test_intercept(self):
-        u = round_uniforms(901, 0, 200, 10)
-        cols = batch.protocol_rounds(u, {"kind": "intercept", "gamma": 0.45})
-        hooks = intercept_resend_hooks(0.45)
-        for r in range(200):
-            t = proto.run_round(r + 1, keyed_rng(901, r), hooks=hooks)
-            assert t.alice_bits[0] == cols["k_alice_odd"][r]
-            assert t.bob_bits[0] == cols["k_bob_odd"][r]
-            assert t.alice_bits[1] == cols["k_alice_even"][r]
-            assert t.bob_bits[1] == cols["k_bob_even"][r]
+        for seed, gamma in ((901, 0.45), (904, 2.0)):
+            u = round_uniforms(seed, 0, 200, 10)
+            cols = batch.protocol_rounds(u, {"kind": "intercept", "gamma": gamma})
+            hooks = intercept_resend_hooks(gamma)
+            for r in range(200):
+                t = proto.run_round(r + 1, keyed_rng(seed, r), hooks=hooks)
+                assert t.alice_bits[0] == cols["k_alice_odd"][r], (gamma, r)
+                assert t.bob_bits[0] == cols["k_bob_odd"][r], (gamma, r)
+                assert t.alice_bits[1] == cols["k_alice_even"][r], (gamma, r)
+                assert t.bob_bits[1] == cols["k_bob_even"][r], (gamma, r)
 
     def test_general_attack_with_eve(self):
-        spec = GeneralAttackSpec(EquatorAngle(0.8), 0.45, 0.45)
-        disc = EveDiscriminator(spec)
-        u = round_uniforms(902, 0, 150, 8)
-        cols = batch.protocol_rounds(u, {"kind": "general", "gamma": 0.8,
-                                         "cx": 0.45, "cy": 0.45})
-        hooks = general_attack_hooks(spec)
-        for r in range(150):
-            rng = keyed_rng(902, r)
-            t, state = proto.run_round(r + 1, rng, hooks=hooks, return_state=True)
-            ga, gb = eve_infer_keys(state, spec, rng, discriminator=disc)
-            assert t.alice_bits[0] == cols["k_alice_odd"][r]
-            assert t.alice_bits[1] == cols["k_alice_even"][r]
-            assert (ga, gb) == (cols["eve_guess_alice"][r], cols["eve_guess_bob"][r])
+        # the balanced spec, then two unbalanced ones
+        for seed, rounds, gamma, cx, cy in ((902, 150, 0.8, 0.45, 0.45),
+                                            (905, 200, 0.0, 0.2, 0.8),
+                                            (906, 200, 2.5, 0.9, 0.5)):
+            spec = GeneralAttackSpec(EquatorAngle(gamma), cx, cy)
+            disc = EveDiscriminator(spec)
+            u = round_uniforms(seed, 0, rounds, 8)
+            cols = batch.protocol_rounds(u, {"kind": "general", "gamma": gamma,
+                                             "cx": cx, "cy": cy})
+            hooks = general_attack_hooks(spec)
+            for r in range(rounds):
+                rng = keyed_rng(seed, r)
+                t, state = proto.run_round(r + 1, rng, hooks=hooks, return_state=True)
+                ga, gb = eve_infer_keys(state, spec, rng, discriminator=disc)
+                where = (cx, cy, gamma, r)
+                assert t.alice_bits[0] == cols["k_alice_odd"][r], where
+                assert t.alice_bits[1] == cols["k_alice_even"][r], where
+                assert t.bob_bits[0] == cols["k_bob_odd"][r], where
+                assert t.bob_bits[1] == cols["k_bob_even"][r], where
+                assert (ga, gb) == (cols["eve_guess_alice"][r], cols["eve_guess_bob"][r]), where
 
 
 class TestRunExperiment:

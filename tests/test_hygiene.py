@@ -1,9 +1,11 @@
-"""Two ``ast`` walks.  Every name a module imports is used, over the package
+"""Three ``ast`` walks.  Every name a module imports is used, over the package
 (except ``__init__``, whose imports are its public re-exports) and the tests.
 Every top-level name of the package, public or private, is read by the
 package or by the benchmark, not only by the tests: code that only tests
-read is a second path to keep in step."""
+read is a second path to keep in step.  The scalar reference engine imports
+nothing of the batch code it checks."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,25 @@ def test_public_names_have_a_reader():
 
 def test_private_names_have_a_reader():
     assert sorted(unread_names(private=True)) == []
+
+
+def imported_modules(tree):
+    """Module names a tree imports; relative ones keep their leading dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield "." * node.level + node.module
+        elif isinstance(node, ast.ImportFrom):
+            yield from ("." * node.level + alias.name for alias in node.names)
+
+
+# qstate and protocol are the independent reference the batch kernels are
+# checked against: the standard library and numpy only, and protocol qstate
+@pytest.mark.parametrize("module, package_imports", [("qstate", set()),
+                                                     ("protocol", {".qstate"})])
+def test_reference_engine_imports(module, package_imports):
+    tree = ast.parse((ROOT / "src" / "faraday_qkd" / f"{module}.py").read_text(encoding="utf-8"))
+    outside = [name for name in imported_modules(tree) if name not in package_imports
+               and name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert outside == []

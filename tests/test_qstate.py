@@ -4,7 +4,7 @@ import pytest
 
 from faraday_qkd import qstate as qs
 
-from oracles import eq_ket, fid
+from oracles import eq_ket, fid, kron_le
 
 RNG = np.random.default_rng(20240811)
 
@@ -257,3 +257,147 @@ class TestNormPreservation:
     def test_register_size_guard(self):
         with pytest.raises(ValueError):
             qs.StateVector(13, np.zeros(2 ** 13))
+
+
+SIZES = (1, 2, 3, 4, 5, 6, 8)
+P0 = np.diag([1.0, 0.0])
+P1 = np.diag([0.0, 1.0])
+Z = np.diag([1.0, -1.0])
+
+
+def dense(n, q, op):
+    """2^n matrix of the 2x2 operator op on qubit q, little-endian."""
+    return np.kron(np.kron(np.eye(2 ** (n - 1 - q)), op), np.eye(2 ** q))
+
+
+def rand_unitary(rng=RNG):
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return np.linalg.qr(m)[0]
+
+
+class Draw:
+    """Stub generator: random() returns a fixed value, forcing the outcome
+    (0.0 keeps outcome +1 on a state with p0 > 0, 1.0 forces -1)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def pairs(n):
+    return [(c, t) for c in range(n) for t in range(n) if c != t]
+
+
+class TestDenseOracle:
+    """Every primitive against its full 2^n matrix (or ket), to 1e-12."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_single_qubit_gates(self, n):
+        for q in range(n):
+            s, u = rand_state(n), rand_unitary()
+            got = qs.apply_1q_unitary(s, q, u).amplitudes
+            assert np.max(np.abs(got - dense(n, q, u) @ s.amplitudes)) < 1e-12
+            got = qs.apply_pauli_x(s, q).amplitudes
+            x = np.array([[0, 1], [1, 0]])
+            assert np.max(np.abs(got - dense(n, q, x) @ s.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_two_qubit_gates(self, n):
+        for c, t in pairs(n):
+            s, u = rand_state(n), rand_unitary()
+            want = (dense(n, c, P0) + dense(n, c, P1) @ dense(n, t, u)) @ s.amplitudes
+            got = qs.apply_controlled_unitary(s, c, t, u).amplitudes
+            assert np.max(np.abs(got - want)) < 1e-12
+            zz = dense(n, c, Z) @ dense(n, t, Z)
+            want = (np.eye(2 ** n) - 1j * zz) / np.sqrt(2) @ s.amplitudes
+            assert np.max(np.abs(qs.apply_qfr(s, c, t).amplitudes - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_append_and_product(self, n):
+        s, ket = rand_state(n), rand_state(1)
+        got = qs.append_qubit(s, ket)
+        assert got.num_qubits == n + 1
+        assert np.max(np.abs(got.amplitudes - np.kron(ket.amplitudes, s.amplitudes))) < 1e-12
+        up = qs.append_qubit(s).amplitudes
+        assert np.max(np.abs(up - np.kron([1, 0], s.amplitudes))) < 1e-12
+        factors = [rand_state(1).amplitudes for _ in range(n)]
+        assert np.max(np.abs(qs.product_state(factors).amplitudes - kron_le(factors))) < 1e-12
+        if n > 1:
+            mixed = [rand_state(1), rand_state(n - 1)]
+            want = np.kron(mixed[1].amplitudes, mixed[0].amplitudes)
+            got = qs.product_state(mixed)
+            assert got.num_qubits == n
+            assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_measurements_collapse_onto_projector(self, n):
+        for q in range(n):
+            s = rand_state(n)
+            phi = RNG.uniform(0, 2 * np.pi)
+            plus, minus = eq_ket(phi), eq_ket(phi + np.pi)
+            cases = [
+                (lambda rng: qs.measure_z(s, q, rng), P0, P1),
+                (lambda rng: qs.measure_equator(s, q, phi, rng),
+                 np.outer(plus, plus.conj()), np.outer(minus, minus.conj())),
+            ]
+            for measure, proj_plus, proj_minus in cases:
+                for draw, outcome, proj in ((0.0, +1, proj_plus), (1.0, -1, proj_minus)):
+                    got_outcome, got = measure(Draw(draw))
+                    assert got_outcome == outcome
+                    kept = dense(n, q, proj) @ s.amplitudes
+                    want = kept / np.linalg.norm(kept)
+                    assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+
+
+class TestFreshResult:
+    """Every public operation returns a fresh StateVector and leaves its
+    input untouched, even when the input's amplitudes are read-only."""
+
+    OPS = {
+        "apply_1q_unitary": lambda s: qs.apply_1q_unitary(s, 1, qs.basis_rotation(0.7)),
+        "apply_pauli_x": lambda s: qs.apply_pauli_x(s, 2),
+        "apply_controlled_unitary": lambda s: qs.apply_controlled_unitary(
+            s, 2, 0, qs.basis_rotation(1.1)),
+        "apply_qfr": lambda s: qs.apply_qfr(s, 0, 2),
+        "append_qubit": lambda s: qs.append_qubit(s, qs.make_equator_state(0.4)),
+        "product_state": lambda s: qs.product_state([s]),
+        "product_state_pair": lambda s: qs.product_state([qs.make_equator_state(0.2), s]),
+        "measure_z+": lambda s: qs.measure_z(s, 1, Draw(0.0))[1],
+        "measure_z-": lambda s: qs.measure_z(s, 1, Draw(1.0))[1],
+        "measure_equator+": lambda s: qs.measure_equator(s, 0, 0.9, Draw(0.0))[1],
+        "measure_equator-": lambda s: qs.measure_equator(s, 0, 0.9, Draw(1.0))[1],
+        "copy": lambda s: s.copy(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_input_untouched(self, name):
+        s = rand_state(3)
+        before = s.amplitudes.copy()
+        s.amplitudes.flags.writeable = False
+        out = self.OPS[name](s)
+        assert isinstance(out, qs.StateVector)
+        assert np.array_equal(s.amplitudes, before)
+        assert not np.shares_memory(out.amplitudes, s.amplitudes)
+        out.amplitudes[0] = 5.0     # the result is the caller's to write
+
+    def test_reduced_density_input_untouched(self):
+        s = rand_state(3)
+        before = s.amplitudes.copy()
+        s.amplitudes.flags.writeable = False
+        rho = qs.reduced_density(s, [0, 2])
+        assert np.array_equal(s.amplitudes, before)
+        assert not np.shares_memory(rho.entries, s.amplitudes)
+
+    def test_cached_qfr_diagonal_is_read_only(self):
+        s = rand_state(3)
+        first = qs.apply_qfr(s, 0, 2)
+        phases = qs._qfr_phases(3, 0, 2)
+        assert phases is qs._qfr_phases(3, 0, 2)
+        assert not phases.flags.writeable
+        with pytest.raises(ValueError):
+            phases[0] = 1.0
+        assert not np.shares_memory(first.amplitudes, phases)
+        first.amplitudes[:] = 0.0
+        assert np.array_equal(qs.apply_qfr(s, 0, 2).amplitudes, s.amplitudes * phases)
