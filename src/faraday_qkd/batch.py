@@ -23,10 +23,13 @@ numerator is P(branch, outcome 0).  Without a channel operation psi does not
 depend on the angles, so the tree runs at one point; with one, each numerator
 is a real trig polynomial of degree 2 in alpha and beta, 25 coefficients on
 phi(alpha) (x) phi(beta), phi = [1, cos, sin, cos 2, sin 2], fixed by a 5 x 5
-grid (``_compile``).  A round carries its branch's weight from 1 and takes
-outcome 1 where its draw >= the numerator at its angles and branch over that
-weight (``_sample``).  ``_table`` keeps the tables of the 16 most recently
-used specs, so later calls on a spec only sample.
+grid (``_compile``).  A round takes outcome 1 where its draw >= p / w, p the
+numerator at its angles and branch and w the branch's weight.  With a
+channel, the sampler carries w from 1 per round (``_sample``); without one,
+p / w is a constant of the branch, which ``_table`` computes once per step
+and branch, so a step is one gather and one comparison.  ``_table`` keeps
+the tables of the 16 most recently used specs, so later calls on a spec only
+sample.
 
 Gates and channel operations address the register by position, in the order
 of ``Scenario.layout``, Eve's ancillas on top; readout steps name qubits by
@@ -40,7 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# rows per sampler pass: it gathers a (rows, 25) coefficient array per step
+# rows per sampler pass: a channel kind gathers a (rows, 25) coefficient
+# array per step
 CHUNK = 2048
 
 
@@ -70,12 +74,14 @@ class _Tree:
     """A kind's branches at angle points: ``amps`` (points, branches,
     2**qubits); each branch's recorded ``bits``; ``steps``, one (record,
     invert, splits, numerator) per draw after the angles, the numerator per
-    (point, branch), over the branch's weight, which the sampler carries;
-    ``fixed``, the constant records."""
+    (point, branch), over the branch's weight; ``fixed``, the constant
+    records; ``thresholds``, set by ``_table`` on a kind without a channel
+    operation, each step's p / w per branch."""
 
     def __init__(self, sc, attack, angles):
         self.sc, self.attack, self.angles = sc, attack, angles
         self.amps, self.bits, self.steps, self.fixed = None, {}, [], {}
+        self.thresholds = None
 
 
 def _project(amps, q, theta=None):
@@ -353,10 +359,10 @@ def _branches(sc, attack, angles):
 
 
 def _phi(theta):
-    """phi(theta) = [1, cos, sin, cos 2, sin 2] of each angle, (angles, 5): a
+    """phi(theta) = [1, cos, sin, cos 2, sin 2] of each angle, (5, angles): a
     trig polynomial of degree 2 is phi . its coefficients."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.ones_like(c), c, s, 2 * c * c - 1, 2 * s * c], axis=-1)
+    return np.stack([np.ones_like(c), c, s, 2 * c * c - 1, 2 * s * c])
 
 
 def _compile(sc, attack):
@@ -366,7 +372,7 @@ def _compile(sc, attack):
     (x) phi(beta): phi's inverse on the grid, phi^T diag(1, 2, 2, 2, 2) / n."""
     n = 5 if sc.channel else 1
     theta = 2.0 * np.pi * np.arange(n) / n
-    inv = (_phi(theta).T * np.array([1.0, 2, 2, 2, 2])[:, None] / n)[:n]
+    inv = (_phi(theta) * np.array([1.0, 2, 2, 2, 2])[:, None] / n)[:n]
     grid = np.meshgrid(theta, theta, indexing="ij")
     tree = _branches(sc, attack, {k: g.ravel() for k, g in zip(("alpha", "beta"), grid)})
     tree.steps = [(*step[:3], np.einsum("jm,kl,mlb->bjk", inv, inv, step[3].reshape(n, n, -1))
@@ -374,27 +380,49 @@ def _compile(sc, attack):
     return tree
 
 
+def _thresholds(steps):
+    """Each step's threshold p / w per branch, for a kind without a channel
+    operation, by the sampler's own float operations: w starts at 1, p is
+    the branch's constant numerator (what a dot with a basis of ones gives),
+    and a split gives branch 2b the weight p and branch 2b + 1 the weight
+    w - p.  A branch of weight 0 gets 0/0, nan, silently: no draw reaches it
+    but by a rounding event."""
+    w, out = np.ones(1), []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _, _, splits, num in steps:
+            p = num[:, 0]
+            out.append(p / w)
+            if splits:
+                w = np.stack([p, w - p], axis=1).ravel()
+    return tuple(out)
+
+
 @lru_cache(maxsize=16)
 def _table(sc, values):
     """Kind ``sc``'s branch table for the attack whose ``params`` take
     ``values``, compiled on first use and kept for the process; a kind
-    without parameters has one table.  The amplitudes are not kept, and the
-    coefficient arrays are read-only."""
+    without parameters has one table.  A kind without a channel operation
+    also gets its ``thresholds``.  The amplitudes are not kept, and the
+    coefficient and threshold arrays are read-only."""
     attack = dict(zip(sc.params, values))
     tree = _compile(sc, attack)
     tree.amps = tree.attack = None
-    for step in tree.steps:
-        step[3].flags.writeable = False
+    if not sc.channel:
+        tree.thresholds = _thresholds(tree.steps)
+    for arr in [step[3] for step in tree.steps] + list(tree.thresholds or ()):
+        arr.flags.writeable = False
     return tree
 
 
 def _basis(sc, angles):
     """Each round's phi(alpha) (x) phi(beta), real, (rounds, 25) with a
-    ``channel`` and (rounds, 1) of ones without."""
+    ``channel`` and (rounds, 1) of ones without.  The products run on
+    (5, 5, rounds) and are laid out C-ordered, as the sampler's per-step dot
+    reads them."""
     if not sc.channel:
         return np.ones((len(angles["alpha"]), 1))
     pa, pb = (_phi(angles[k]) for k in ("alpha", "beta"))
-    return (pa[:, :, None] * pb[:, None, :]).reshape(len(pa), -1)
+    return np.ascontiguousarray((pa[:, None] * pb[None]).reshape(25, -1).T)
 
 
 def _sample(tbl, u):
@@ -402,20 +430,27 @@ def _sample(tbl, u):
     each step's outcome, 1 where the draw >= p / w, p its numerator at the
     round's angles and branch b, w the branch's weight (1 at the normalised
     frame register); a split moves the round to 2b + outcome, of weight p or
-    w - p.  Only a rounding event reaches weight 0, so its 0/0 is silent."""
+    w - p.  Without a channel p / w is the table's threshold of the branch;
+    with one, each round carries its weight.  Only a rounding event reaches
+    weight 0, so its 0/0 is silent."""
     draws = iter(u.T)
     rec = {name: 2.0 * np.pi * next(draws) for name in _angles(tbl.sc)}
-    basis = _basis(tbl.sc, rec)
+    cuts = tbl.thresholds
+    basis, w = (None, None) if cuts else (_basis(tbl.sc, rec), np.ones(len(u)))
     branch = np.zeros(len(u), dtype=np.int64)
-    w = np.ones(len(u))
     with np.errstate(invalid="ignore", divide="ignore"):
-        for record, invert, splits, num in tbl.steps:
-            p = np.einsum("rk,rk->r", num.take(branch, axis=0), basis)
-            bit = (next(draws) >= p / w).astype(np.int64)
+        for i, (record, invert, splits, num) in enumerate(tbl.steps):
+            if cuts:
+                bit = (next(draws) >= cuts[i].take(branch)).astype(np.int64)
+            else:
+                p = np.einsum("rk,rk->r", num.take(branch, axis=0), basis)
+                bit = (next(draws) >= p / w).astype(np.int64)
+                if splits:
+                    w = np.where(bit, w - p, p)
             if record:
                 rec[record] = bit ^ invert
             if splits:
-                branch, w = 2 * branch + bit, np.where(bit, w - p, p)
+                branch = 2 * branch + bit
     if next(draws, None) is not None:
         raise RuntimeError("the scenario's operations left draws unused")
     rec.update((name, np.full(len(u), v)) for name, v in tbl.fixed.items())
@@ -443,8 +478,8 @@ def protocol_rounds(u, attack=None):
 
     The kind is compiled into its branch table of real coefficients once per
     process for each distinct spec (``_table``), and the rows are sampled
-    from it in chunks of at most ``CHUNK``, each carrying its branch's weight.
-    Every row is sampled on its own, so the chunk size changes no column."""
+    from it in chunks of at most ``CHUNK`` (``_sample``).  Every row is
+    sampled on its own, so the chunk size changes no column."""
     attack = attack or {"kind": "none"}
     sc = SCENARIOS[attack["kind"]]
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
@@ -452,7 +487,8 @@ def protocol_rounds(u, attack=None):
     rows = u.reshape(-1, sc.draws // sc.copies)          # copies run as consecutive rows
     tbl = _table(sc, tuple(float(attack[p]) for p in sc.params))
     chunks = [_sample(tbl, rows[lo:lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
-    rec = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    rec = chunks[0] if len(chunks) == 1 else {
+        name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     if sc.copies > 1:
         rec = {f"{name}{i}": arr.reshape(-1, sc.copies)[:, i]
                for name, arr in rec.items() for i in range(sc.copies)}

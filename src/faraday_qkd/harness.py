@@ -296,8 +296,9 @@ def write_csv(path: str, columns: dict, order=CSV_COLUMNS):
 
 
 def _information(x, y) -> float:
-    """Empirical mutual information of two bit columns."""
-    table = [[np.sum((x == a) & (y == b)) for b in (0, 1)] for a in (0, 1)]
+    """Empirical mutual information of two bit columns, which must hold only
+    0 and 1: the 2 x 2 table counts the codes 2x + y in one pass."""
+    table = np.bincount(2 * x + y, minlength=4).reshape(2, 2)
     return analysis.empirical_mutual_information(table)
 
 
@@ -312,13 +313,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     chunks = [(params, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo))
               for lo in range(0, n, CHUNK_ROUNDS)]
     # the fork start method launches every worker up front
-    workers = min(cfg.workers, len(chunks), os.cpu_count() or 1)
+    workers = min(cfg.workers, len(chunks))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, chunks))
     else:
         results = [_run_chunk(c) for c in chunks]
-    cols = {k: np.concatenate([r[k] for r in results]) for k in results[0]}
+    cols = results[0] if len(results) == 1 else {
+        k: np.concatenate([r[k] for r in results]) for k in results[0]}
     cols["round"] = np.arange(1, n + 1, dtype=np.int64)
 
     # step 12: compare M odd bits drawn from a reserved verification stream

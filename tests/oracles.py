@@ -5,11 +5,13 @@ deliberately avoiding the package's gate machinery, so agreement between an
 oracle and the simulator checks two genuinely different computation paths.
 The one exception, ``eve_pair_states``, runs the scalar engine's gates and
 attack hooks, which share nothing with the batch compile it checks.
+``carried_weight_sample`` is the batch sampler's earlier loop, kept to pin
+the per-branch thresholds that replaced it.
 Register conventions match the package: little-endian, |0> = up.
 """
 import numpy as np
 
-from faraday_qkd import adversary, qstate
+from faraday_qkd import adversary, batch, qstate
 
 SQ2 = np.sqrt(2.0)
 UP = np.array([1.0, 0.0])
@@ -401,3 +403,27 @@ def helstrom_lab(prepared, eve, alpha, beta, c):
     proj = np.einsum("bjk,bj->bk", (q @ w).conj(), eve)
     p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
     return 0.5 * np.sum(np.abs(vals), axis=1), p1
+
+
+def carried_weight_sample(tbl, u):
+    """One chunk of rounds from the batch branch table ``tbl`` by the
+    carried-weight loop, for every kind: each step's p is a dot of the
+    round's branch coefficients with its basis (``batch._basis``, a column of
+    ones without a channel operation), outcome 1 where the draw >= p / w, and
+    the round carries its weight w from 1, set to p or w - p at a split."""
+    draws = iter(u.T)
+    rec = {name: 2.0 * np.pi * next(draws) for name in batch._angles(tbl.sc)}
+    basis = batch._basis(tbl.sc, rec)
+    branch = np.zeros(len(u), dtype=np.int64)
+    w = np.ones(len(u))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for record, invert, splits, num in tbl.steps:
+            p = np.einsum("rk,rk->r", num.take(branch, axis=0), basis)
+            bit = (next(draws) >= p / w).astype(np.int64)
+            if record:
+                rec[record] = bit ^ invert
+            if splits:
+                branch, w = 2 * branch + bit, np.where(bit, w - p, p)
+    assert next(draws, None) is None
+    rec.update((name, np.full(len(u), v)) for name, v in tbl.fixed.items())
+    return rec

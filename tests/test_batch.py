@@ -18,7 +18,7 @@ import pytest
 
 from faraday_qkd import adversary, analysis, batch, harness, qstate as qs
 
-from oracles import helstrom_lab
+from oracles import carried_weight_sample, helstrom_lab
 
 
 @pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel is None])
@@ -371,6 +371,69 @@ def test_chunk_size_changes_no_output(kind, monkeypatch):
                 assert col.dtype == ref[name].dtype and col.tobytes() == ref[name].tobytes(), name
 
 
+def test_basis_is_the_broadcast_product():
+    """``_basis`` gives, bit for bit and C-ordered, the (rounds, 5, 1) x
+    (rounds, 1, 5) broadcast product of phi(alpha) and phi(beta), at random
+    angles and at angles of exactly 0, where a zero sine meets negative
+    cosines."""
+    rng = np.random.default_rng(17)
+    angles = dict(zip(("alpha", "beta"), rng.uniform(0, 2 * np.pi, (2, 300))))
+    angles["alpha"][:20] = 0.0
+    angles["beta"][10:30] = 0.0
+    pa, pb = (batch._phi(angles[k]).T for k in ("alpha", "beta"))
+    want = (pa[:, :, None] * pb[:, None, :]).reshape(300, 25)
+    got = batch._basis(batch.SCENARIOS["general"], angles)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+_CHANNEL_FREE = [kind for kind, sc in batch.SCENARIOS.items() if not sc.channel]
+
+
+def _edge_draws(tbl, rows, rng):
+    """Draws for ``rows`` rows of ``tbl``'s kind whose step draws are, a fifth
+    each, random, exactly 0.0, exactly 1 - 2**-53, exactly the threshold of
+    the branch the row is at where that lies in [0, 1), and exactly 1.0,
+    which no stream gives but which drives rows onto branches of weight 0;
+    with the number of ties and of draws at a 0/0 (nan) threshold."""
+    sc = tbl.sc
+    u = rng.random((rows, sc.draws // sc.copies))
+    branch, ties, nans = np.zeros(rows, dtype=np.int64), 0, 0
+    steps = zip(u.T[len(batch._angles(sc)):], tbl.steps, tbl.thresholds)
+    for col, (_, _, splits, _), cut in steps:
+        at = cut[branch]
+        pick = rng.integers(5, size=rows)
+        col[pick == 1] = 0.0
+        col[pick == 2] = 1 - 2.0 ** -53
+        tie = (pick == 3) & (at >= 0) & (at < 1)
+        col[tie] = at[tie]
+        col[pick == 4] = 1.0
+        ties += np.count_nonzero(tie)
+        nans += np.count_nonzero(np.isnan(at))
+        if splits:
+            branch = 2 * branch + (col >= at)
+    return u, ties, nans
+
+
+@pytest.mark.parametrize("kind", _CHANNEL_FREE)
+def test_thresholds_match_the_carried_weight_loop(kind):
+    """A kind without a channel operation is sampled from its per-branch
+    thresholds byte for byte as the carried-weight loop samples it
+    (``oracles.carried_weight_sample``), on random draws and on draws of
+    exactly 0.0, 1 - 2**-53, 1.0 and each branch's threshold (``>=`` ties),
+    which reach the 0/0 branches of the kinds that have them."""
+    tbl = batch._table(batch.SCENARIOS[kind], ())
+    rng = np.random.default_rng(len(kind))
+    edge, ties, nans = _edge_draws(tbl, 4000, rng)
+    assert ties > 0
+    assert (nans > 0) == any(np.isnan(cut).any() for cut in tbl.thresholds)
+    for u in (edge, rng.random(edge.shape)):
+        got, want = batch._sample(tbl, u), carried_weight_sample(tbl, u)
+        assert got.keys() == want.keys()
+        for name, col in want.items():
+            assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name
+
+
 @pytest.fixture
 def tables():
     """An empty table cache for the test, and emptied again after it."""
@@ -448,7 +511,8 @@ def test_stale_povm_up_changes_nothing(tables):
 def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
     """A cached table keeps no amplitudes and no attack dict, and every
     numerator array is read-only and (branches, 25) with a channel, (branches,
-    1) without."""
+    1) without; a kind without a channel also holds one read-only
+    (branches,) threshold array per step, and a kind with one none."""
     got = _sampled_tables(monkeypatch, *(_attack(kind) for kind in batch.SCENARIOS))
     assert tables.cache_info().currsize == len(batch.SCENARIOS)
     for tbl in got:
@@ -458,6 +522,14 @@ def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
             assert not num.flags.writeable and num.shape[1:] == (terms,)
             with pytest.raises(ValueError):
                 num[0, 0] = 0
+        if tbl.sc.channel:
+            assert tbl.thresholds is None
+            continue
+        assert len(tbl.thresholds) == len(tbl.steps)
+        for (*_, num), cut in zip(tbl.steps, tbl.thresholds):
+            assert not cut.flags.writeable and cut.shape == (len(num),)
+            with pytest.raises(ValueError):
+                cut[0] = 0
 
 
 @pytest.mark.parametrize("kind, variant", [("impersonate:one", None),

@@ -356,6 +356,25 @@ def test_harness_reads_attack_kinds_from_the_scenario_table():
         assert (rep.eve_accuracy is not None) == (scenario.eve_key is not None), kind
 
 
+@pytest.mark.parametrize("columns", ["random", "correlated", (0, 0), (0, 1), (1, 0), (1, 1)])
+def test_information_counts_the_four_sum_table(columns, monkeypatch):
+    """``_information`` hands ``empirical_mutual_information`` the 2 x 2 table
+    of the four masked sums, sum((x == a) & (y == b)), and returns its value,
+    on random, correlated and constant 0/1 columns."""
+    rng = np.random.default_rng(9)
+    x, y = rng.integers(0, 2, (2, 5000))
+    if columns == "correlated":
+        y = x ^ (rng.random(5000) < 0.1)
+    elif columns != "random":
+        x[:], y[:] = columns
+    want = np.array([[np.sum((x == a) & (y == b)) for b in (0, 1)] for a in (0, 1)])
+    info, seen = harness.analysis.empirical_mutual_information, []
+    monkeypatch.setattr(harness.analysis, "empirical_mutual_information",
+                        lambda table: seen.append(table) or info(table))
+    assert harness._information(x, y) == info(want)
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+
 def test_executor_rejects_wrong_draw_count():
     for kind, scenario in batch.SCENARIOS.items():
         for width in (scenario.draws - 1, scenario.draws + 1):
