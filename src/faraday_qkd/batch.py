@@ -479,19 +479,22 @@ def protocol_rounds(u, attack=None):
     The kind is compiled into its branch table of real coefficients once per
     process for each distinct spec (``_table``), and the rows are sampled
     from it in chunks of at most ``CHUNK`` (``_sample``).  Every row is
-    sampled on its own, so the chunk size changes no column."""
+    sampled on its own, so the chunk size changes no column.  Copy i of a kind
+    with ``copies`` instances samples its own columns ``u[:, i*d:(i+1)*d]``,
+    d = draws / copies, each draw a row of ``u.T`` (contiguous from
+    ``harness.round_uniforms``)."""
     attack = attack or {"kind": "none"}
     sc = SCENARIOS[attack["kind"]]
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
         raise ValueError(f"{attack['kind']} needs rounds of {sc.draws} draws, got shape {u.shape}")
-    rows = u.reshape(-1, sc.draws // sc.copies)          # copies run as consecutive rows
     tbl = _table(sc, tuple(float(attack[p]) for p in sc.params))
-    chunks = [_sample(tbl, rows[lo:lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
-    rec = chunks[0] if len(chunks) == 1 else {
-        name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
-    if sc.copies > 1:
-        rec = {f"{name}{i}": arr.reshape(-1, sc.copies)[:, i]
-               for name, arr in rec.items() for i in range(sc.copies)}
+    d, rec = sc.draws // sc.copies, {}
+    for i in range(sc.copies):
+        rows = u[:, i * d:(i + 1) * d]
+        chunks = [_sample(tbl, rows[lo:lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
+        tag = str(i) if sc.copies > 1 else ""
+        rec.update((name + tag, chunks[0][name] if len(chunks) == 1 else
+                    np.concatenate([c[name] for c in chunks])) for name in chunks[0])
     return _public(sc, rec)
 
 

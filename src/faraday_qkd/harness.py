@@ -8,8 +8,10 @@ the verification sampler owns the reserved stream
 round streams as one numpy Philox4x64-10 pass (block k = 1, 2, ... ciphers
 the counter (k, 0, 0, 0), words in block order, word x gives
 ``(x >> 11) * 2**-53``), pinned by the tier-1 tests byte for byte against
-numpy's ``Philox``.  Results are therefore independent of chunking and
-worker count, and CSV output is byte-identical for any ``--workers`` value.
+numpy's ``Philox``.  Its words are (blocks, rounds) arrays, rounds contiguous,
+and its (rounds, draws) result is draw-major, each draw's column contiguous.
+Results are therefore independent of chunking and worker count, and CSV
+output is byte-identical for any ``--workers`` value.
 
 CSV format: header row, comma delimiter, LF line endings; float cells are
 byte for byte ``%.11e`` and integer cells ``%d`` (re-parsing a file and
@@ -141,17 +143,24 @@ class RunReport:
         return "\n".join(lines)
 
 
-# Philox4x64 round multipliers and key bumps (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64 multipliers and key bumps (Salmon et al., SC'11), limb mask, shifts
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32, _S32, _S11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
 
 
-def _mulhilo(a: np.ndarray, m: int):
-    """High and low words of the 128-bit products a * m, from 32-bit limbs."""
-    a_lo, a_hi, m_lo, m_hi = a & 0xFFFFFFFF, a >> 32, m & 0xFFFFFFFF, m >> 32
-    mid = a_hi * m_lo + ((a_lo * m_lo) >> 32)
-    mid2 = a_lo * m_hi + (mid & 0xFFFFFFFF)
-    return a_hi * m_hi + (mid >> 32) + (mid2 >> 32), a * m
+def _mulhilo(a: np.ndarray, m: np.uint64):
+    """High and low words of the 128-bit products a * m, from 32-bit limbs;
+    the limb arrays are fresh, so the sums build up in them in place."""
+    a_lo, a_hi, m_lo, m_hi = a & _LO32, a >> _S32, m & _LO32, m >> _S32
+    mid = a_hi * m_lo
+    mid += (a_lo * m_lo) >> _S32
+    a_lo *= m_hi
+    a_lo += mid & _LO32
+    a_hi *= m_hi
+    a_hi += mid >> _S32
+    a_hi += a_lo >> _S32
+    return a_hi, a * m
 
 
 def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
@@ -162,22 +171,25 @@ def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.n
     (k, 0, 0, 0), its words in order, each word x giving ``(x >> 11) * 2**-53``.
     The tier-1 tests pin it byte for byte against numpy's ``Philox``.
 
-    Words start at the shapes they vary over and broadcast as the rounds mix
-    them, so round 1's products and round 2's x0 product run on ``blocks``
-    words, not ``count * blocks``.
+    Words are (blocks, rounds), rounds contiguous (the round key broadcasts
+    along the slow axis), and start at the shapes they vary over.  Word lane
+    j fills draws j, j + 4, ... of one (draws, rounds) array in place; the
+    result is its transpose, each draw's column contiguous.
     """
     blocks = -(-draws // 4)
-    x = [np.arange(1, blocks + 1, dtype=np.uint64)[None, :]]
+    x = [np.arange(1, blocks + 1, dtype=np.uint64)[:, None]]
     x += [np.zeros((1, 1), dtype=np.uint64)] * 3
-    k0 = np.full((1, 1), master_seed, dtype=np.uint64)
-    k1 = (np.uint64(start) + np.arange(count, dtype=np.uint64))[:, None]
-    for _ in range(10):
+    k1 = (np.uint64(start) + np.arange(count, dtype=np.uint64))[None, :]
+    for k0 in np.uint64(master_seed) + _PHILOX_W[0] * np.arange(10, dtype=np.uint64):
         hi0, lo0 = _mulhilo(x[0], _PHILOX_M[0])
         hi1, lo1 = _mulhilo(x[2], _PHILOX_M[1])
         x = [hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0]
-        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-    words = np.stack(np.broadcast_arrays(*x), axis=-1).reshape(count, 4 * blocks)[:, :draws]
-    return (words >> 11) * 2.0 ** -53
+        k1 += _PHILOX_W[1]
+    u = np.empty((draws, count))
+    for j, word in enumerate(x):
+        lane = word[:len(range(j, draws, 4))]
+        np.multiply(np.right_shift(lane, _S11, out=lane), 2.0 ** -53, out=u[j::4])
+    return u.T
 
 
 def _run_chunk(args):

@@ -443,14 +443,18 @@ def tables():
 
 
 def _sampled_tables(monkeypatch, *attacks):
-    """The table ``protocol_rounds`` samples from for each attack."""
-    sampled = []
+    """The table ``protocol_rounds`` samples from for each attack; every
+    copy of a multi-copy kind samples the same table object."""
+    sampled, got = [], []
     sample = batch._sample
     monkeypatch.setattr(batch, "_sample", lambda tbl, u: sampled.append(tbl) or sample(tbl, u))
     for attack in attacks:
-        u = harness.round_uniforms(5, 0, 10, batch.SCENARIOS[attack["kind"]].draws)
-        batch.protocol_rounds(u, attack)
-    return sampled
+        sc = batch.SCENARIOS[attack["kind"]]
+        batch.protocol_rounds(harness.round_uniforms(5, 0, 10, sc.draws), attack)
+        assert len(sampled) == sc.copies and all(t is sampled[0] for t in sampled)
+        got.append(sampled[0])
+        sampled.clear()
+    return got
 
 
 def _same_steps(a, b):
@@ -530,6 +534,19 @@ def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
             assert not cut.flags.writeable and cut.shape == (len(num),)
             with pytest.raises(ValueError):
                 cut[0] = 0
+
+
+@pytest.mark.parametrize("kind", batch.SCENARIOS)
+def test_columns_do_not_depend_on_layout(kind):
+    """``protocol_rounds`` gives the same bytes on ``round_uniforms``'
+    draw-major result and on a C-ordered copy of it, column for column, over
+    more than one ``CHUNK``."""
+    u = harness.round_uniforms(47, 0, batch.CHUNK + 5, batch.SCENARIOS[kind].draws)
+    want = batch.protocol_rounds(u, _attack(kind))
+    got = batch.protocol_rounds(np.ascontiguousarray(u), _attack(kind))
+    assert got.keys() == want.keys()
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name
 
 
 @pytest.mark.parametrize("kind, variant", [("impersonate:one", None),

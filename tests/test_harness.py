@@ -85,6 +85,36 @@ def test_round_uniforms_is_numpy_philox(seed):
         assert round_uniforms(seed, 0, 0, draws).shape == (0, draws)
 
 
+@pytest.mark.parametrize("m", harness._PHILOX_M)
+def test_mulhilo_matches_python_ints(m):
+    """``_mulhilo``'s 32-bit limbs give the high and low words of a * m,
+    checked against Python ints at the limb edges and on random words."""
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    words = np.concatenate([np.array(edges, dtype=np.uint64),
+                            np.random.default_rng(11).integers(0, 2**64, 10**5, dtype=np.uint64,
+                                                               endpoint=False)])
+    hi, lo = harness._mulhilo(words, m)
+    assert hi.dtype == lo.dtype == np.uint64
+    products = [int(a) * int(m) for a in words.tolist()]
+    assert hi.tolist() == [p >> 64 for p in products]
+    assert lo.tolist() == [p & (2**64 - 1) for p in products]
+
+
+@pytest.mark.parametrize("rows", [harness.CHUNK_ROUNDS, batch.CHUNK])
+@pytest.mark.parametrize("kind", batch.SCENARIOS)
+def test_round_uniforms_at_harness_sizes(kind, rows):
+    """At the chunk sizes the harness and the sampler run, with each kind's
+    draw count, the first, middle and last rows are numpy's Philox streams,
+    also for a start whose last round is 2**64 - 1; the result is draw-major,
+    each draw's column contiguous."""
+    draws = batch.SCENARIOS[kind].draws
+    for seed, start in ((3, 5 * harness.CHUNK_ROUNDS), (2**64 - 9, 2**64 - rows)):
+        u = round_uniforms(seed, start, rows, draws)
+        assert u.shape == (rows, draws) and u.T.flags.c_contiguous
+        for i in (0, rows // 2, rows - 1):
+            assert u[i].tobytes() == keyed_rng(seed, start + i).random(draws).tobytes(), i
+
+
 class TestScalarBatchEquivalence:
     """The vectorized kernels replay the exact per-round uniform streams, so
     they must reproduce the scalar engine bit for bit."""
