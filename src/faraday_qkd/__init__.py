@@ -9,12 +9,10 @@ from .adversary import (
     EveDiscriminator,
     GeneralAttackSpec,
     PnsScenario,
-    build_subspace_decomposition,
     eve_infer_keys,
     general_attack_hooks,
     intercept_resend_hooks,
     make_ancilla_pair,
-    one_home_state,
     pns_build,
 )
 from .harness import (

@@ -11,7 +11,7 @@ invariant and the ancilla bookkeeping stays aligned leg to leg.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .protocol import (
     ChannelHook,
 )
 from .qstate import (
-    DensityMatrix,
     EquatorAngle,
     StateVector,
     append_qubit,
@@ -112,79 +111,8 @@ def intercept_resend_hooks(gamma):
 
 
 # ---------------------------------------------------------------------------
-# Eve's ancilla-space structure and inference
+# Eve's inference
 # ---------------------------------------------------------------------------
-
-def _kron_ef(e_vec, f_vec):
-    # E is the lower index bit of the 4-dim ancilla pair space
-    return np.kron(f_vec, e_vec)
-
-
-def _sextet(rel_angle: float, c_first: float, c_second: float):
-    """The six (unnormalized) ancilla-pair vectors for one travel qubit."""
-    e0, e1 = make_ancilla_pair(c_first)
-    h0, h1 = make_ancilla_pair(c_second)
-    c2 = np.cos(rel_angle / 2) ** 2
-    s2 = np.sin(rel_angle / 2) ** 2
-    return {
-        1: _kron_ef(e0, h0) - _kron_ef(e1, h1),
-        2: s2 * _kron_ef(e0, h0) + c2 * _kron_ef(e1, h1),
-        3: c2 * _kron_ef(e0, h0) + s2 * _kron_ef(e1, h1),
-        4: _kron_ef(e0, h1) - _kron_ef(e1, h0),
-        5: c2 * _kron_ef(e0, h1) + s2 * _kron_ef(e1, h0),
-        6: s2 * _kron_ef(e0, h1) + c2 * _kron_ef(e1, h0),
-    }
-
-
-@dataclass
-class EveSubspaceDecomposition:
-    """The two sextets of ancilla-pair vectors, unnormalized, as 4-dim arrays.
-
-    ``vectors[i]`` lives on (E, F) and is parameterized by the relative angle
-    alpha_tilde = alpha - gamma + pi/2; ``primed[i]`` lives on (E', F') with
-    beta_tilde.  Vectors 1..3 accompany an "up" home qubit, 4..6 a "down"
-    one.  The cross-block orthogonality <1|4> = <1|5> = <1|6> = 0 (and the
-    4-against-1,2,3 block) holds exactly when the two overlaps coincide.
-    """
-
-    alpha_tilde: float
-    beta_tilde: float
-    spec: GeneralAttackSpec
-    vectors: dict = field(repr=False)
-    primed: dict = field(repr=False)
-
-    def overlap(self, i: int, j: int, primed: bool = False) -> complex:
-        vs = self.primed if primed else self.vectors
-        return complex(np.vdot(vs[i], vs[j]))
-
-    def normalized_overlap(self, i: int, j: int, primed: bool = False) -> complex:
-        vs = self.primed if primed else self.vectors
-        ni = np.vdot(vs[i], vs[i]).real
-        nj = np.vdot(vs[j], vs[j]).real
-        return complex(np.vdot(vs[i], vs[j]) / np.sqrt(ni * nj))
-
-    def validate(self, tol: float = 1e-10):
-        """Check the cross-block orthogonality (balanced attacks only)."""
-        if abs(self.spec.overlap_c_x - self.spec.overlap_c_y) > 1e-12:
-            return
-        for vs in (self.vectors, self.primed):
-            for i, j in ((1, 4), (1, 5), (1, 6), (4, 1), (4, 2), (4, 3)):
-                if abs(np.vdot(vs[i], vs[j])) > tol:
-                    raise ValueError(f"orthogonality <{i}|{j}> violated")
-
-
-def build_subspace_decomposition(alpha_tilde: float, beta_tilde: float,
-                                 spec: GeneralAttackSpec) -> EveSubspaceDecomposition:
-    dec = EveSubspaceDecomposition(
-        alpha_tilde=float(alpha_tilde),
-        beta_tilde=float(beta_tilde),
-        spec=spec,
-        vectors=_sextet(float(alpha_tilde), spec.overlap_c_x, spec.overlap_c_y),
-        primed=_sextet(float(beta_tilde), spec.overlap_c_x, spec.overlap_c_y),
-    )
-    dec.validate()
-    return dec
-
 
 class EveDiscriminator:
     """Two-stage minimum-error measurement on one ancilla pair.
@@ -194,45 +122,31 @@ class EveDiscriminator:
     each is orthogonal to every vector of the opposite home-qubit value
     (balanced attack), so those outcomes are certain.  The residual subspace
     is split by the Helstrom measurement between Eve's states averaged
-    exactly over the angle.  The net effect is one two-outcome POVM
-    {M_up, M_dn}, built by ``batch._eve_povm``, reused for the primed pair.
+    exactly over the angle.  The net effect is one two-outcome POVM whose
+    "up" element ``m_up`` is built by ``batch._eve_povm`` (the "down" element
+    is I - m_up), reused for the primed pair.
     """
 
     def __init__(self, spec: GeneralAttackSpec):
-        self.spec = spec
         self.m_up = _batch._eve_povm(spec.overlap_c_x, spec.overlap_c_y)
-        self.m_dn = np.eye(4) - self.m_up
-
-    def prob_up(self, vec4) -> float:
-        v = np.asarray(vec4, dtype=np.complex128)
-        nrm = np.vdot(v, v).real
-        return float(np.clip((v.conj() @ self.m_up @ v).real / nrm, 0.0, 1.0))
-
-    def guess_home_bit(self, vec4, u: float) -> int:
-        """Return the guessed home key bit (z = +1 maps to bit 0)."""
-        return 0 if u < self.prob_up(vec4) else 1
-
-
-def _pure_vector_from_density(rho: DensityMatrix) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(rho.entries)
-    return vecs[:, -1]
 
 
 def eve_infer_keys(post_attack_state: StateVector, spec: GeneralAttackSpec, rng,
                    discriminator: EveDiscriminator | None = None):
     """Collective measurement on Eve's four ancillae after the parties finish.
 
-    The (E, F) pair identifies Bob's home value, (E', F') Alice's.  Consumes
+    The (E, F) pair identifies Bob's home value, (E', F') Alice's; each pair
+    reads "up" with probability tr(M_up rho) of its reduced state.  Consumes
     two draws: the (E, F) outcome first, then (E', F').  Returns
     (guess_alice_home, guess_bob_home) as key bits (z = +1 maps to 0).
     """
     if post_attack_state.num_qubits != 8:
         raise ValueError("expected the 8-qubit post-attack register")
-    disc = discriminator or EveDiscriminator(spec)
-    v_ef = _pure_vector_from_density(reduced_density(post_attack_state, (4, 5)))
-    v_pp = _pure_vector_from_density(reduced_density(post_attack_state, (6, 7)))
-    guess_bob = disc.guess_home_bit(v_ef, rng.random())
-    guess_alice = disc.guess_home_bit(v_pp, rng.random())
+    m_up = (discriminator or EveDiscriminator(spec)).m_up
+    # vdot conjugates m_up, which is Hermitian, so it sums to tr(M_up rho)
+    p_up = (np.vdot(m_up, reduced_density(post_attack_state, pair).entries).real
+            for pair in ((4, 5), (6, 7)))
+    guess_bob, guess_alice = (0 if rng.random() < p else 1 for p in p_up)
     return guess_alice, guess_bob
 
 
@@ -248,15 +162,6 @@ def _prepared_state(kind: str, **angles) -> StateVector:
     for control, target in sc.gates:
         state = apply_qfr(state, control, target)
     return state
-
-
-def one_home_state(alpha, beta, epsilon) -> StateVector:
-    """Pre-measurement 6-qubit state of the single-home impersonation.
-
-    Eve's lone home qubit E brokers all three travel qubits: Alice's C picks
-    up rotations from (A, E), Bob's D from (B, E), and Eve's own travel E'
-    from (E, A)."""
-    return _prepared_state("impersonate:one", alpha=alpha, beta=beta, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------

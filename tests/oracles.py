@@ -6,7 +6,10 @@ oracle and the simulator checks two genuinely different computation paths.
 The one exception, ``eve_pair_states``, runs the scalar engine's gates and
 attack hooks, which share nothing with the batch compile it checks.
 ``carried_weight_sample`` is the batch sampler's earlier loop, kept to pin
-the per-branch thresholds that replaced it.
+the per-branch thresholds that replaced it.  ``sextet`` is the repo's one
+copy of the six ancilla-pair vectors: ``attack_final_state`` and
+``discriminator_m_up`` are built from it, and acceptance criterion 6 checks
+its subspace structure.
 Register conventions match the package: little-endian, |0> = up.
 """
 import numpy as np

@@ -1,5 +1,6 @@
-"""The entangling attack: state closed form, subspace structure, detection
-statistics, and Eve's two-stage inference."""
+"""The entangling attack: state closed form, the subspace structure of the
+oracle sextet the closed form is built from, detection statistics, and Eve's
+two-stage inference."""
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from faraday_qkd import (
     GeneralAttackSpec,
     analysis,
     batch,
-    build_subspace_decomposition,
     eve_infer_keys,
     general_attack_hooks,
     harness,
@@ -35,6 +35,22 @@ RNG = np.random.default_rng(424242)
 
 def spec_of(gamma, cx, cy):
     return GeneralAttackSpec(EquatorAngle(gamma), cx, cy)
+
+
+def normalized_overlap(vs, i, j):
+    return complex(np.vdot(vs[i], vs[j]) / np.sqrt(np.vdot(vs[i], vs[i]).real
+                                                   * np.vdot(vs[j], vs[j]).real))
+
+
+class Replay:
+    """Stub generator: hands out ``draws`` in order and counts them."""
+
+    def __init__(self, draws):
+        self.draws, self.used = list(draws), 0
+
+    def random(self):
+        self.used += 1
+        return self.draws[self.used - 1]
 
 
 def mc_detection(seed, n, attack_params):
@@ -111,10 +127,9 @@ class TestSubspaceDecomposition:
         for _ in range(50):
             at = RNG.uniform(0, 2 * np.pi)
             c = RNG.uniform(0, 1)
-            dec = build_subspace_decomposition(at, RNG.uniform(0, 2 * np.pi), spec_of(0.0, c, c))
-            for vs in (False, True):
+            for vs in (sextet(at, c, c), sextet(RNG.uniform(0, 2 * np.pi), c, c)):
                 for i, j in ((1, 4), (1, 5), (1, 6), (4, 1), (4, 2), (4, 3)):
-                    assert abs(dec.overlap(i, j, primed=vs)) < 1e-10
+                    assert abs(np.vdot(vs[i], vs[j])) < 1e-10
 
     def test_orthogonality_defect_unbalanced(self):
         # with distinct overlaps the cross-block inner products are the
@@ -122,48 +137,42 @@ class TestSubspaceDecomposition:
         for _ in range(20):
             at = RNG.uniform(0, 2 * np.pi)
             cx, cy = RNG.uniform(0, 1, 2)
-            dec = build_subspace_decomposition(at, at, spec_of(0.0, cx, cy))
-            assert dec.overlap(1, 4) == pytest.approx(2 * (cy - cx), abs=1e-10)
-            assert dec.overlap(1, 5) == pytest.approx(np.cos(at) * (cy - cx), abs=1e-10)
-            assert dec.overlap(1, 6) == pytest.approx(-np.cos(at) * (cy - cx), abs=1e-10)
-            assert dec.overlap(4, 2) == pytest.approx(-np.cos(at) * (cy - cx), abs=1e-10)
-            assert dec.overlap(4, 3) == pytest.approx(np.cos(at) * (cy - cx), abs=1e-10)
+            vs = sextet(at, cx, cy)
+            overlap = lambda i, j: complex(np.vdot(vs[i], vs[j]))
+            assert overlap(1, 4) == pytest.approx(2 * (cy - cx), abs=1e-10)
+            assert overlap(1, 5) == pytest.approx(np.cos(at) * (cy - cx), abs=1e-10)
+            assert overlap(1, 6) == pytest.approx(-np.cos(at) * (cy - cx), abs=1e-10)
+            assert overlap(4, 2) == pytest.approx(-np.cos(at) * (cy - cx), abs=1e-10)
+            assert overlap(4, 3) == pytest.approx(np.cos(at) * (cy - cx), abs=1e-10)
 
     def test_normalized_overlap_floor(self):
         # <2|5> = <3|6> and <2|6> = <3|5>, all at least min(cx, cy)
         for _ in range(50):
             at = RNG.uniform(0, 2 * np.pi)
             cx, cy = RNG.uniform(0, 1, 2)
-            dec = build_subspace_decomposition(at, at, spec_of(0.0, cx, cy))
+            vs = sextet(at, cx, cy)
             floor = min(cx, cy) - 1e-10
-            o25 = dec.normalized_overlap(2, 5).real
-            o36 = dec.normalized_overlap(3, 6).real
-            o26 = dec.normalized_overlap(2, 6).real
-            o35 = dec.normalized_overlap(3, 5).real
+            o25 = normalized_overlap(vs, 2, 5).real
+            o36 = normalized_overlap(vs, 3, 6).real
+            o26 = normalized_overlap(vs, 2, 6).real
+            o35 = normalized_overlap(vs, 3, 5).real
             assert o25 == pytest.approx(o36, abs=1e-12)
             assert o26 == pytest.approx(o35, abs=1e-12)
             assert min(o25, o26) >= floor
 
     def test_orthogonal_case_reduces_to_products(self):
-        dec = build_subspace_decomposition(np.pi / 2, np.pi / 2, spec_of(0.0, 0.0, 0.0))
+        vs = sextet(np.pi / 2, 0.0, 0.0)
         e0, e1 = make_ancilla_pair(0.0)
         h0, h1 = make_ancilla_pair(0.0)
         t = lambda a, b: np.kron(b, a)
-        assert np.allclose(dec.vectors[2], 0.5 * (t(e0, h0) + t(e1, h1)), atol=1e-12)
-        assert np.allclose(dec.vectors[3], dec.vectors[2], atol=1e-12)
-        assert np.allclose(dec.vectors[5], 0.5 * (t(e0, h1) + t(e1, h0)), atol=1e-12)
-        assert np.allclose(dec.vectors[6], dec.vectors[5], atol=1e-12)
+        assert np.allclose(vs[2], 0.5 * (t(e0, h0) + t(e1, h1)), atol=1e-12)
+        assert np.allclose(vs[3], vs[2], atol=1e-12)
+        assert np.allclose(vs[5], 0.5 * (t(e0, h1) + t(e1, h0)), atol=1e-12)
+        assert np.allclose(vs[6], vs[5], atol=1e-12)
         # the four building blocks are mutually orthogonal with weight 1/2
         blocks = [t(e0, h0), t(e1, h1), t(e0, h1), t(e1, h0)]
         gram = np.array([[np.vdot(x, y) for y in blocks] for x in blocks])
         assert np.allclose(gram, np.eye(4), atol=1e-12)
-
-    def test_matches_oracle_sextet(self):
-        at, cx, cy = 1.234, 0.4, 0.9
-        dec = build_subspace_decomposition(at, 0.5, spec_of(0.0, cx, cy))
-        want = sextet(at, cx, cy)
-        for i in range(1, 7):
-            assert np.allclose(dec.vectors[i], want[i], atol=1e-12)
 
 
 class TestDetectionStatistics:
@@ -232,11 +241,10 @@ class TestDetectionStatistics:
 class TestEveInference:
     def test_povm_is_valid(self):
         for cx, cy in ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (0.3, 0.8)):
-            disc = EveDiscriminator(spec_of(0.1, cx, cy))
-            for m in (disc.m_up, disc.m_dn):
+            m_up = EveDiscriminator(spec_of(0.1, cx, cy)).m_up
+            for m in (m_up, np.eye(4) - m_up):
                 assert np.allclose(m, m.conj().T, atol=1e-10)
                 assert np.linalg.eigvalsh(m).min() > -1e-9
-            assert np.allclose(disc.m_up + disc.m_dn, np.eye(4), atol=1e-10)
 
     @pytest.mark.parametrize("cx, cy", [(0.5, 0.5), (0.45, 0.45), (0.2, 0.8), (0.4, 0.7),
                                         (0.0, 0.0), (1.0, 1.0)])
@@ -265,6 +273,38 @@ class TestEveInference:
             t, state = proto.run_round(r + 1, rng, hooks=hooks, return_state=True)
             ga, gb = eve_infer_keys(state, spec, rng, discriminator=disc)
             assert ga == t.alice_bits[1]
+
+    @pytest.mark.parametrize("gamma, cx, cy", [(0.8, 0.45, 0.45), (1.1, 0.2, 0.8)])
+    def test_scalar_round_takes_the_scenario_draws(self, gamma, cx, cy):
+        """``run_round`` and ``eve_infer_keys`` together take exactly the
+        general scenario's draw count, the row the batch sampler replays."""
+        spec = spec_of(gamma, cx, cy)
+        hooks, disc = general_attack_hooks(spec), EveDiscriminator(spec)
+        draws = batch.SCENARIOS["general"].draws
+        for r, row in enumerate(harness.round_uniforms(907, 0, 50, draws)):
+            rng = Replay(row)
+            _, state = proto.run_round(r + 1, rng, hooks=hooks, return_state=True)
+            eve_infer_keys(state, spec, rng, discriminator=disc)
+            assert rng.used == draws, r
+
+    @pytest.mark.parametrize("gamma, cx, cy", [(0.8, 0.45, 0.45), (1.1, 0.2, 0.8)])
+    def test_guesses_flip_at_each_pairs_p_up(self, gamma, cx, cy):
+        """Each pair's guess is 0 just below p = tr(M_up rho) of its reduced
+        state and 1 just above; the first draw reads (E, F), Bob's guess."""
+        spec = spec_of(gamma, cx, cy)
+        hooks, disc = general_attack_hooks(spec), EveDiscriminator(spec)
+        distinct = 0
+        for r, row in enumerate(harness.round_uniforms(908, 0, 20, 6)):
+            _, state = proto.run_round(r + 1, Replay(row), hooks=hooks, return_state=True)
+            p_ef, p_pp = (np.vdot(disc.m_up, qs.reduced_density(state, pair).entries).real
+                          for pair in ((4, 5), (6, 7)))
+            distinct += abs(p_ef - p_pp) > 1e-6
+            for d_ef in (-1e-9, 1e-9):
+                for d_pp in (-1e-9, 1e-9):
+                    rng = Replay([p_ef + d_ef, p_pp + d_pp])
+                    ga, gb = eve_infer_keys(state, spec, rng, discriminator=disc)
+                    assert (gb, ga, rng.used) == (int(d_ef > 0), int(d_pp > 0), 2), r
+        assert distinct > 0       # the two pairs' thresholds tell the order apart
 
     def test_trivial_attack_learns_nothing(self):
         pd, cols = mc_detection(41, 10_000, general_params(0.2, 1.0, 1.0))

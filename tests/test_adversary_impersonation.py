@@ -1,7 +1,7 @@
 """Impersonation attacks: detection statistics and the one-home state."""
 import numpy as np
 
-from faraday_qkd import batch, harness, one_home_state
+from faraday_qkd import adversary, batch, harness
 
 from oracles import fid, one_home_state as oracle_one_home
 from oracles import one_home_state_without_phases
@@ -40,7 +40,7 @@ class TestOneHome:
         rng = np.random.default_rng(82)
         for _ in range(20):
             a, b, e = rng.uniform(0, 2 * np.pi, 3)
-            got = one_home_state(a, b, e)
+            got = adversary._prepared_state("impersonate:one", alpha=a, beta=b, epsilon=e)
             assert abs(got.norm() - 1.0) < 1e-10
             assert fid(got.amplitudes, oracle_one_home(a, b, e)) >= 1 - 1e-9
 
@@ -49,7 +49,7 @@ class TestOneHome:
         # the faithful one, though all detection statistics are phase-blind
         rng = np.random.default_rng(83)
         a, b, e = rng.uniform(0, 2 * np.pi, 3)
-        got = one_home_state(a, b, e)
+        got = adversary._prepared_state("impersonate:one", alpha=a, beta=b, epsilon=e)
         assert fid(got.amplitudes, one_home_state_without_phases(a, b, e)) < 1e-12
 
     def test_eve_bits_track_branch_parity(self):

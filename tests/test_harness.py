@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ class TestCsv:
         run_experiment(cfg)
         cols = read_csv(p1)
         write_csv(p2, cols)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_same_seed_same_bytes(self, tmp_path):
         outs = []
@@ -239,14 +240,14 @@ class TestCsv:
                                    attack=AttackChoice("intercept", gamma=1.0),
                                    output_path=str(tmp_path / name))
             run_experiment(cfg)
-            outs.append(open(tmp_path / name, "rb").read())
+            outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
     def test_lf_line_endings(self, tmp_path):
         p = str(tmp_path / "lf.csv")
         cfg = ExperimentConfig(rounds=50, test_bits=0, master_seed=82, output_path=p)
         run_experiment(cfg)
-        data = open(p, "rb").read()
+        data = Path(p).read_bytes()
         assert b"\r" not in data
         assert data.count(b"\n") == 51
 

@@ -76,11 +76,13 @@ def top_level_names(tree):
 
 def unread_names(private):
     """(module, name) of the package's top-level names, private or public,
-    that neither the package nor the benchmark reads."""
+    that neither the package nor the benchmark reads.  ``__init__``'s imports
+    are re-exports, not reads."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
     read = set().union(*(names_read(ast.parse(p.read_text(encoding="utf-8")), strings=True)
                          for p in (ROOT / "perfbench").glob("*.py")))
-    read |= set().union(*map(names_read, trees.values()))
+    read |= set().union(*(names_read(tree) for module, tree in trees.items()
+                          if module != "__init__"))
     return {(module, name) for module, tree in trees.items() if not module.startswith("__")
             for name in top_level_names(tree)
             if name.startswith("_") == private and name not in read}
