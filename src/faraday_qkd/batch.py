@@ -31,6 +31,13 @@ and branch, so a step is one gather and one comparison.  ``_table`` keeps
 the tables of the 16 most recently used specs, so later calls on a spec only
 sample.
 
+A channel kind's step reads only its harmonic support (``_terms``), 9 of
+the 25 columns in general and 1 to 25 by step in intercept, and drops its
+coefficients beyond it, each at most ``_TOL``; a step of at most
+``_MATMUL_BRANCHES`` branches is one small product and a take, a wider one
+a row gather and dot.  So p moves by the dropped terms (at most 6e-16 each
+where measured) and rounding: only a draw within ~1e-14 / w of p / w flips.
+
 Gates and channel operations address the register by position, in the order
 of ``Scenario.layout``, Eve's ancillas on top; readout steps name qubits by
 label.  A measured qubit stays in the register, in the outcome's ket, so an
@@ -43,9 +50,17 @@ from functools import lru_cache
 
 import numpy as np
 
-# rows per sampler pass: a channel kind gathers a (rows, 25) coefficient
-# array per step
+# rows per sampler pass of a channel kind, whose steps hold (branches, rows)
+# or (rows, columns) arrays; a channel-free kind samples a call in one pass
 CHUNK = 2048
+
+# off a step's support the grid inversion leaves <= 5.9e-16 (60 random specs
+# per kind); a real coefficient is this small only ~3e-6 from gamma = m pi/4
+_TOL = 1e-13
+
+# 2,048 rows, one CPU, gather/product us: 26/13 at (8 branches, 9 columns),
+# 26/20 at (16, 9), 26/31 at (32, 9), 59/316 at (128, 25); one BLAS thread
+_MATMUL_BRANCHES = 16
 
 
 @lru_cache(maxsize=None)
@@ -75,13 +90,13 @@ class _Tree:
     2**qubits); each branch's recorded ``bits``; ``steps``, one (record,
     invert, splits, numerator) per draw after the angles, the numerator per
     (point, branch), over the branch's weight; ``fixed``, the constant
-    records; ``thresholds``, set by ``_table`` on a kind without a channel
-    operation, each step's p / w per branch."""
+    records; from ``_table``, ``thresholds`` (each step's p / w per branch)
+    without a channel operation, ``cols`` and ``terms`` (``_terms``) with one."""
 
     def __init__(self, sc, attack, angles):
         self.sc, self.attack, self.angles = sc, attack, angles
         self.amps, self.bits, self.steps, self.fixed = None, {}, [], {}
-        self.thresholds = None
+        self.thresholds = self.cols = self.terms = None
 
 
 def _project(amps, q, theta=None):
@@ -380,6 +395,16 @@ def _compile(sc, attack):
     return tree
 
 
+def _terms(steps):
+    """``cols``, the basis columns with a coefficient above ``_TOL``, in order
+    of first use, and each step's (branches, k) coefficients on the fewest
+    first k of them that hold all of its own above ``_TOL``."""
+    used = [np.flatnonzero(np.abs(num).max(axis=0) > _TOL) for *_, num in steps]
+    cols = np.array(list(dict.fromkeys(np.concatenate(used).tolist())), dtype=np.intp)
+    k = [np.flatnonzero(np.isin(cols, u)).max(initial=-1) + 1 for u in used]
+    return cols, tuple(num[:, cols[:j]] for (*_, num), j in zip(steps, k))
+
+
 def _thresholds(steps):
     """Each step's threshold p / w per branch, for a kind without a channel
     operation, by the sampler's own float operations: w starts at 1, p is
@@ -401,28 +426,27 @@ def _thresholds(steps):
 def _table(sc, values):
     """Kind ``sc``'s branch table for the attack whose ``params`` take
     ``values``, compiled on first use and kept for the process; a kind
-    without parameters has one table.  A kind without a channel operation
-    also gets its ``thresholds``.  The amplitudes are not kept, and the
-    coefficient and threshold arrays are read-only."""
+    without parameters has one table, with its ``thresholds`` or, with a
+    channel operation, its ``cols`` and ``terms``; ``steps`` keep every
+    coefficient.  The amplitudes are dropped; every array is read-only."""
     attack = dict(zip(sc.params, values))
     tree = _compile(sc, attack)
     tree.amps = tree.attack = None
-    if not sc.channel:
+    if sc.channel:
+        tree.cols, tree.terms = _terms(tree.steps)
+    else:
         tree.thresholds = _thresholds(tree.steps)
-    for arr in [step[3] for step in tree.steps] + list(tree.thresholds or ()):
+    for arr in [step[3] for step in tree.steps] + list(tree.thresholds or (tree.cols, *tree.terms)):
         arr.flags.writeable = False
     return tree
 
 
-def _basis(sc, angles):
-    """Each round's phi(alpha) (x) phi(beta), real, (rounds, 25) with a
-    ``channel`` and (rounds, 1) of ones without.  The products run on
-    (5, 5, rounds) and are laid out C-ordered, as the sampler's per-step dot
-    reads them."""
-    if not sc.channel:
-        return np.ones((len(angles["alpha"]), 1))
+def _basis(angles, cols):
+    """Columns ``cols`` of each round's phi(alpha) (x) phi(beta), column
+    5 i + j being phi_i(alpha) phi_j(beta), as (columns, rounds): a step
+    on the first k of ``cols`` reads the contiguous rows ``[:k]``."""
     pa, pb = (_phi(angles[k]) for k in ("alpha", "beta"))
-    return np.ascontiguousarray((pa[:, None] * pb[None]).reshape(25, -1).T)
+    return pa[cols // 5] * pb[cols % 5]
 
 
 def _sample(tbl, u):
@@ -431,19 +455,24 @@ def _sample(tbl, u):
     round's angles and branch b, w the branch's weight (1 at the normalised
     frame register); a split moves the round to 2b + outcome, of weight p or
     w - p.  Without a channel p / w is the table's threshold of the branch;
-    with one, each round carries its weight.  Only a rounding event reaches
-    weight 0, so its 0/0 is silent."""
+    with one, each round carries its weight and p is the dot of the step's
+    ``terms`` of branch b with the round's first k ``_basis`` rows.  Only a
+    rounding event reaches weight 0, so its 0/0 is silent."""
     draws = iter(u.T)
     rec = {name: 2.0 * np.pi * next(draws) for name in _angles(tbl.sc)}
-    cuts = tbl.thresholds
-    basis, w = (None, None) if cuts else (_basis(tbl.sc, rec), np.ones(len(u)))
-    branch = np.zeros(len(u), dtype=np.int64)
+    n, cuts = len(u), tbl.thresholds
+    if not cuts:
+        basis, w, at = _basis(rec, tbl.cols), np.ones(n), np.arange(n)
+    branch = np.zeros(n, dtype=np.int64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for i, (record, invert, splits, num) in enumerate(tbl.steps):
+        for i, (record, invert, splits, _) in enumerate(tbl.steps):
             if cuts:
                 bit = (next(draws) >= cuts[i].take(branch)).astype(np.int64)
             else:
-                p = np.einsum("rk,rk->r", num.take(branch, axis=0), basis)
+                terms = tbl.terms[i]
+                part = basis[:terms.shape[1]]
+                p = ((terms @ part).take(branch * n + at) if len(terms) <= _MATMUL_BRANCHES
+                     else np.einsum("rk,kr->r", terms.take(branch, axis=0), part))
                 bit = (next(draws) >= p / w).astype(np.int64)
                 if splits:
                     w = np.where(bit, w - p, p)
@@ -478,9 +507,9 @@ def protocol_rounds(u, attack=None):
 
     The kind is compiled into its branch table of real coefficients once per
     process for each distinct spec (``_table``), and the rows are sampled
-    from it in chunks of at most ``CHUNK`` (``_sample``).  Every row is
-    sampled on its own, so the chunk size changes no column.  Copy i of a kind
-    with ``copies`` instances samples its own columns ``u[:, i*d:(i+1)*d]``,
+    from it (``_sample``), a channel kind's in chunks of at most ``CHUNK``.
+    Every row is sampled on its own, so the chunk size changes no column.
+    Copy i of a kind with ``copies`` instances samples ``u[:, i*d:(i+1)*d]``,
     d = draws / copies, each draw a row of ``u.T`` (contiguous from
     ``harness.round_uniforms``)."""
     attack = attack or {"kind": "none"}
@@ -491,7 +520,8 @@ def protocol_rounds(u, attack=None):
     d, rec = sc.draws // sc.copies, {}
     for i in range(sc.copies):
         rows = u[:, i * d:(i + 1) * d]
-        chunks = [_sample(tbl, rows[lo:lo + CHUNK]) for lo in range(0, len(rows), CHUNK)]
+        step = CHUNK if sc.channel else len(rows)
+        chunks = [_sample(tbl, rows[lo:lo + step]) for lo in range(0, len(rows), step)]
         tag = str(i) if sc.copies > 1 else ""
         rec.update((name + tag, chunks[0][name] if len(chunks) == 1 else
                     np.concatenate([c[name] for c in chunks])) for name in chunks[0])

@@ -5,8 +5,9 @@ deliberately avoiding the package's gate machinery, so agreement between an
 oracle and the simulator checks two genuinely different computation paths.
 The one exception, ``eve_pair_states``, runs the scalar engine's gates and
 attack hooks, which share nothing with the batch compile it checks.
-``carried_weight_sample`` is the batch sampler's earlier loop, kept to pin
-the per-branch thresholds that replaced it.  ``sextet`` is the repo's one
+``carried_weight_sample`` is the batch sampler's earlier loop, on every
+coefficient column, kept to pin the per-branch thresholds and the pruned
+channel-kind terms that replaced it.  ``sextet`` is the repo's one
 copy of the six ancilla-pair vectors: ``attack_final_state`` and
 ``discriminator_m_up`` are built from it, and acceptance criterion 6 checks
 its subspace structure.
@@ -408,15 +409,22 @@ def helstrom_lab(prepared, eve, alpha, beta, c):
     return 0.5 * np.sum(np.abs(vals), axis=1), p1
 
 
+def full_basis(tbl, angles):
+    """Each round's basis on every coefficient column of ``tbl``'s steps,
+    (rounds, columns): all 25 of phi(alpha) (x) phi(beta) with a channel
+    operation, and without one its column 0, which is 1."""
+    return batch._basis(angles, np.arange(tbl.steps[0][3].shape[1])).T
+
+
 def carried_weight_sample(tbl, u):
     """One chunk of rounds from the batch branch table ``tbl`` by the
     carried-weight loop, for every kind: each step's p is a dot of the
-    round's branch coefficients with its basis (``batch._basis``, a column of
-    ones without a channel operation), outcome 1 where the draw >= p / w, and
-    the round carries its weight w from 1, set to p or w - p at a split."""
+    round's branch coefficients, all of the step's columns, with its basis
+    (``full_basis``), outcome 1 where the draw >= p / w, and the round
+    carries its weight w from 1, set to p or w - p at a split."""
     draws = iter(u.T)
     rec = {name: 2.0 * np.pi * next(draws) for name in batch._angles(tbl.sc)}
-    basis = batch._basis(tbl.sc, rec)
+    basis = full_basis(tbl, rec)
     branch = np.zeros(len(u), dtype=np.int64)
     w = np.ones(len(u))
     with np.errstate(invalid="ignore", divide="ignore"):

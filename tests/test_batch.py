@@ -18,7 +18,7 @@ import pytest
 
 from faraday_qkd import adversary, analysis, batch, harness, qstate as qs
 
-from oracles import carried_weight_sample, helstrom_lab
+from oracles import carried_weight_sample, full_basis, helstrom_lab
 
 
 @pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel is None])
@@ -212,7 +212,7 @@ def test_table_is_exact_at_random_angles(kind, cx, cy):
     tbl = batch._compile(sc, attack)
     angles = dict(zip(("alpha", "beta"), rng.uniform(0, 2 * np.pi, (2, 30))))
     run = batch._branches(sc, attack, angles)
-    basis = batch._basis(sc, angles)
+    basis = full_basis(tbl, angles)
     assert len(tbl.steps) == len(run.steps) == sc.draws - 2
     for compiled, direct in zip(tbl.steps, run.steps):
         assert compiled[:3] == direct[:3]
@@ -269,7 +269,7 @@ def test_carried_weights_are_the_leaf_weights(kind):
     attack = _attack(kind, rng.uniform(0, 2 * np.pi))
     tbl = batch._compile(sc, attack)
     angles = dict(zip(batch._angles(sc), rng.uniform(0, 2 * np.pi, (3, 30))))
-    basis = batch._basis(sc, angles)
+    basis = full_basis(tbl, angles)
     chain = _chained(np.ones((30, 1)), tbl.steps, lambda num: np.einsum("bk,rk->rb", num, basis))
     leaves = [out for step, out in chain if step[2]][-1].reshape(30, -1)
     run = batch._branches(sc, attack, angles)
@@ -372,19 +372,23 @@ def test_chunk_size_changes_no_output(kind, monkeypatch):
 
 
 def test_basis_is_the_broadcast_product():
-    """``_basis`` gives, bit for bit and C-ordered, the (rounds, 5, 1) x
-    (rounds, 1, 5) broadcast product of phi(alpha) and phi(beta), at random
-    angles and at angles of exactly 0, where a zero sine meets negative
-    cosines."""
+    """``_basis(angles, cols)`` gives, bit for bit, columns ``cols`` of the
+    (rounds, 5, 1) x (rounds, 1, 5) broadcast product of phi(alpha) and
+    phi(beta), as C-ordered (columns, rounds): for all 25 columns, for the
+    general table's pruned ``cols`` and for a shuffled few, at random angles
+    and at angles of exactly 0, where a zero sine meets negative cosines."""
     rng = np.random.default_rng(17)
     angles = dict(zip(("alpha", "beta"), rng.uniform(0, 2 * np.pi, (2, 300))))
     angles["alpha"][:20] = 0.0
     angles["beta"][10:30] = 0.0
     pa, pb = (batch._phi(angles[k]).T for k in ("alpha", "beta"))
     want = (pa[:, :, None] * pb[:, None, :]).reshape(300, 25)
-    got = batch._basis(batch.SCENARIOS["general"], angles)
-    assert got.flags.c_contiguous and got.dtype == np.float64
-    assert got.tobytes() == want.tobytes()
+    pruned = batch._table(batch.SCENARIOS["general"], (0.5, 0.5, 0.3)).cols
+    for cols in (np.arange(25), pruned, rng.permutation(25)[:7]):
+        got = batch._basis(angles, cols)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.shape == (len(cols), 300)
+        assert got.tobytes() == np.ascontiguousarray(want[:, cols].T).tobytes()
 
 
 _CHANNEL_FREE = [kind for kind, sc in batch.SCENARIOS.items() if not sc.channel]
@@ -432,6 +436,71 @@ def test_thresholds_match_the_carried_weight_loop(kind):
         assert got.keys() == want.keys()
         for name, col in want.items():
             assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name
+
+
+def _values(attack):
+    """The ``_table`` key values of an attack dict."""
+    return tuple(float(attack[p]) for p in batch.SCENARIOS[attack["kind"]].params)
+
+
+# each channel kind's columns per step on its harmonic support at a random
+# spec (the overlaps 0 and 1, and gamma = 0 in intercept, need fewer)
+_SUPPORT = {"general": (1, 9, 9, 9, 9, 9), "intercept": (1, 1, 3, 9, 15, 25, 25, 25)}
+
+
+@pytest.mark.parametrize("kind", batch.SCENARIOS)
+def test_pruned_terms_drop_only_rounding(kind, tables):
+    """``_terms`` keeps each step's coefficients on a prefix of ``cols``,
+    bit for bit, and every coefficient it drops is at most 1e-15, a
+    hundredth of ``_TOL``, for every kind at 12 random specs (gamma, and cx
+    and cy for general; a kind without parameters has one table); a channel
+    kind's table holds that ``cols`` and those ``terms``, with the support
+    sizes of ``_SUPPORT``."""
+    rng = np.random.default_rng(len(kind) + 29)
+    sc = batch.SCENARIOS[kind]
+    for _ in range(12):
+        gamma, cx, cy = rng.uniform(0, 2 * np.pi), *rng.uniform(0, 1, 2)
+        tbl = batch._table(sc, _values(_attack(kind, gamma, cx, cy)))
+        cols, terms = batch._terms(tbl.steps)
+        assert len(set(cols.tolist())) == len(cols) and len(terms) == len(tbl.steps)
+        for (*_, num), kept in zip(tbl.steps, terms):
+            k = kept.shape[1]
+            assert kept.tobytes() == np.ascontiguousarray(num[:, cols[:k]]).tobytes()
+            assert np.abs(np.delete(num, cols[:k], axis=1)).max(initial=0.0) <= 1e-15
+        if sc.channel:
+            assert tbl.cols.tobytes() == cols.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(tbl.terms, terms))
+            assert tuple(t.shape[1] for t in terms) == _SUPPORT[kind]
+
+
+# every general spec whose bytes the suite pins, the overlaps' edges and
+# unbalanced specs, and intercept at two angles: all of general's steps and
+# intercept's first five are products, intercept's last three gathers
+_SAMPLED_SPECS = [
+    ("general", 0.3, 0.5, 0.5), ("general", 0.8, 0.45, 0.45), ("general", 1.1, 0.2, 0.8),
+    ("general", 0.83, 0.4, 0.7), ("general", 0.7, 0.5, 0.5), ("general", 0.0, 0.5, 0.5),
+    ("general", 0.3, 0.0, 0.0), ("general", 0.0, 1.0, 1.0), ("general", 0.65, 0.5, 0.9),
+    ("general", 3.56204355244, 0.9, 0.35), ("general", 1.04, 0.8, 0.8),
+    ("intercept", 0.3, None, None), ("intercept", 1.7, None, None)]
+
+
+@pytest.mark.parametrize("kind, gamma, cx, cy", _SAMPLED_SPECS)
+def test_sampler_matches_the_25_column_loop(kind, gamma, cx, cy, tables):
+    """A channel kind sampled from its pruned ``terms`` gives, byte for byte
+    in every column, what the carried-weight loop gives on all 25
+    coefficients of every step (``oracles.carried_weight_sample``), over
+    2 x 10**5 rows from two seeds, in ``CHUNK`` rows a call."""
+    tbl = batch._table(batch.SCENARIOS[kind], _values(_attack(kind, gamma, cx, cy)))
+    wide = [len(t) > batch._MATMUL_BRANCHES for t in tbl.terms]
+    assert sum(wide) == (3 if kind == "intercept" else 0)
+    for seed in (3, 4):
+        u = harness.round_uniforms(seed, 0, 100_000, tbl.sc.draws)
+        for lo in range(0, len(u), batch.CHUNK):
+            rows = u[lo:lo + batch.CHUNK]
+            got, want = batch._sample(tbl, rows), carried_weight_sample(tbl, rows)
+            assert got.keys() == want.keys()
+            for name, col in want.items():
+                assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name
 
 
 @pytest.fixture
@@ -516,7 +585,9 @@ def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
     """A cached table keeps no amplitudes and no attack dict, and every
     numerator array is read-only and (branches, 25) with a channel, (branches,
     1) without; a kind without a channel also holds one read-only
-    (branches,) threshold array per step, and a kind with one none."""
+    (branches,) threshold array per step and no pruned terms, and a kind with
+    one no thresholds, a read-only ``cols`` and one read-only (branches, k)
+    ``terms`` array per step."""
     got = _sampled_tables(monkeypatch, *(_attack(kind) for kind in batch.SCENARIOS))
     assert tables.cache_info().currsize == len(batch.SCENARIOS)
     for tbl in got:
@@ -527,8 +598,17 @@ def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
             with pytest.raises(ValueError):
                 num[0, 0] = 0
         if tbl.sc.channel:
-            assert tbl.thresholds is None
+            assert tbl.thresholds is None and len(tbl.terms) == len(tbl.steps)
+            assert not tbl.cols.flags.writeable
+            for (*_, num), kept in zip(tbl.steps, tbl.terms):
+                assert not kept.flags.writeable and kept.shape[0] == len(num)
+                assert kept.shape[1] <= len(tbl.cols)
+                with pytest.raises(ValueError):
+                    kept[0, 0] = 0
+            with pytest.raises(ValueError):
+                tbl.cols[0] = 1
             continue
+        assert tbl.cols is None and tbl.terms is None
         assert len(tbl.thresholds) == len(tbl.steps)
         for (*_, num), cut in zip(tbl.steps, tbl.thresholds):
             assert not cut.flags.writeable and cut.shape == (len(num),)
