@@ -18,8 +18,10 @@ byte for byte ``%.11e`` and integer cells ``%d`` (re-parsing a file and
 re-writing it is byte-stable).  ``write_csv`` formats CHUNK_ROUNDS (8,192)
 rows at a time as one ASCII byte matrix built with numpy, so its memory is
 bounded by that block: an integer column spanning at most 256 values is
-gathered from a per-block table of their text, other cells from digit triples
-by ``take``.  The tier-1 tests check its bytes against a '%' row writer.
+gathered from a per-block table of their text, other digits four at a time as
+words of a ``%04d`` table, and every cell column is copied into the block as
+8-, 4-, 2- and 1-byte word columns.  The tier-1 tests check its bytes against
+a '%' row writer.
 """
 from __future__ import annotations
 
@@ -200,23 +202,39 @@ def _run_chunk(args):
     return {**core, "eve_bit_alice": cols["eve_guess_alice"], "eve_bit_bob": cols["eve_guess_bob"]}
 
 
-# ASCII digits of 0..999, three to a row; NUL marks a cell position to drop
-_TRIPLES = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)),
-                         dtype=np.uint8).reshape(1000, 3)
+# ASCII ``%04d`` of 0..9999 as uint32 words (the digits of i are the indices
+# of cell i of a 10 x 10 x 10 x 10 grid), and ``e%+03d`` of -11..11; NUL marks
+# a cell position to drop
+_WORDS = np.ascontiguousarray((np.indices((10,) * 4, dtype=np.uint8) + ord("0"))
+                              .reshape(4, -1).T).view(np.uint32).ravel()
+_EXP_WORDS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-11, 12)), dtype=np.uint32)
 # exact doubles 10**0 .. 10**22, and the uint64 powers 10**0 .. 10**19
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _POW10_INT = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+_WORDS.flags.writeable = _POW10.flags.writeable = _POW10_INT.flags.writeable = False
 
 
 def _digits(mag: np.ndarray, width: int) -> np.ndarray:
-    """(rows, width) ASCII digits of uint64 magnitudes below 10**width, three
-    at a time: ``take`` on an intp index, far cheaper than fancy indexing."""
-    triples = []
-    for _ in range((width - 1) // 3):
-        mag, low = np.divmod(mag, 1000)
-        triples.append(low)
-    idx = np.stack([mag, *triples[::-1]], axis=1, dtype=np.intp)
-    return _TRIPLES.take(idx, axis=0).reshape(len(mag), -1)[:, -width:]
+    """(rows, width) ASCII digits of uint64 magnitudes below 10**width, four at
+    a time: one ``take`` of ``_WORDS`` words on an intp index, viewed as bytes."""
+    groups = []
+    for _ in range((width - 1) // 4):
+        mag, low = np.divmod(mag, 10000)
+        groups.append(low)
+    idx = np.stack([mag, *groups[::-1]], axis=1, dtype=np.intp)
+    return _WORDS.take(idx).view(np.uint8)[:, -width:]
+
+
+def _put(out: np.ndarray, pos: int, cells: np.ndarray):
+    """``out[:, pos:pos + width] = cells`` for uint8 matrices, as 1-D copies of
+    8-, 4-, 2- and 1-byte word columns: numpy copies a 2-D slice row by row."""
+    done, width = 0, cells.shape[1]
+    while done < width:
+        size = min(8, 1 << ((width - done).bit_length() - 1))
+        word = np.dtype(f"u{size}")
+        out[:, pos + done:pos + done + size].view(word)[:, 0] = \
+            cells[:, done:done + size].view(word)[:, 0]
+        done += size
 
 
 def _int_cells(x: np.ndarray) -> np.ndarray:
@@ -263,10 +281,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     digits = _digits(np.where(ok, r, 1e11).astype(np.uint64), 12)
     cells[:, 0] = digits[:, 0]
     cells[:, 1] = ord(".")
-    cells[:, 2:13] = digits[:, 1:]
-    cells[:, 13] = ord("e")
-    cells[:, 14] = np.where(e < 0, ord("-"), ord("+"))
-    cells[:, 15:17] = _TRIPLES[np.abs(e), 1:]
+    _put(cells, 2, digits[:, 1:])
+    _put(cells, 13, _EXP_WORDS.take(e + 11).view(np.uint8).reshape(-1, 4))
     if text:
         cells[slow] = np.frombuffer(b"".join(t.ljust(cells.shape[1], b"\0") for t in text),
                                     dtype=np.uint8).reshape(len(text), -1)
@@ -279,7 +295,7 @@ def _csv_block(cols) -> bytes:
     out = np.full((len(cols[0]), sum(c.shape[1] + 1 for c in cells)), ord(","), dtype=np.uint8)
     pos = 0
     for c in cells:
-        out[:, pos:pos + c.shape[1]] = c
+        _put(out, pos, c)
         pos += c.shape[1] + 1
     out[:, -1] = ord("\n")
     return out.tobytes().replace(b"\0", b"")

@@ -329,6 +329,49 @@ class TestCsv:
         assert peak < 16 << 20
 
 
+class TestCsvWords:
+    def test_word_tables_hold_their_text(self):
+        assert harness._WORDS.tobytes() == b"".join(b"%04d" % i for i in range(10000))
+        assert harness._EXP_WORDS.tobytes() == b"".join(b"e%+03d" % k for k in range(-11, 12))
+
+    # the number of four-digit groups changes at widths 5, 9, 13 and 17
+    @pytest.mark.parametrize("width", range(1, 21))
+    def test_digits_match_zero_padded_percent(self, width):
+        values = {0, 1, 2 ** 64 - 1 if width == 20 else 10 ** width - 1}
+        values |= {10 ** k + d for k in range(1, width) for d in (-1, 0, 1)}
+        mag = np.array(sorted(values), dtype=np.uint64)
+        got = harness._digits(mag, width)
+        assert got.shape == (len(mag), width)
+        assert got.tobytes() == b"".join(b"%0*d" % (width, v) for v in mag.tolist())
+
+    # a row of odd width, so every 8-, 4-, 2- and 1-byte word column is unaligned
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_put_matches_slice_assignment(self, width):
+        rng = np.random.default_rng(width)
+        cells = rng.integers(0, 256, (37, width), dtype=np.uint8)
+        for pos in range(9):
+            out = np.full((37, 41), ord(","), dtype=np.uint8)
+            want = out.copy()
+            want[:, pos:pos + width] = cells
+            harness._put(out, pos, cells)
+            assert np.array_equal(out, want)
+        # a column of a wider matrix, as _digits returns
+        wide = rng.integers(0, 256, (37, width + 3), dtype=np.uint8)
+        out = np.zeros((37, width + 5), dtype=np.uint8)
+        harness._put(out, 5, wide[:, 3:])
+        assert np.array_equal(out[:, 5:], wide[:, 3:]) and not out[:, :5].any()
+
+    @pytest.mark.parametrize("name", ["_WORDS", "_EXP_WORDS", "_POW10", "_POW10_INT"])
+    def test_tables_are_read_only(self, name):
+        table = getattr(harness, name)
+        before = table.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            table += 1
+        assert table.tobytes() == before
+
+
 # cells the block writer's digit paths must get exactly right or hand to '%':
 # zero, signs, non-finite values, subnormal and out-of-range exponents, the
 # ends of [1e11, 1e12), near-ties of the 12th digit, and int64's extremes
