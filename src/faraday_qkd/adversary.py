@@ -97,8 +97,9 @@ def intercept_resend_hooks(gamma):
     {gamma+-pi/2} family, so the return legs co-rotate to
     {|gamma+pi/2>, |gamma+3pi/2>}; a fixed-basis analyzer on all four legs
     would fully randomize the keys instead (detection 1/2, not 3/8).
+    gamma is taken mod 2 pi, as in ``GeneralAttackSpec``.
     """
-    g = float(gamma)
+    g = float(EquatorAngle(gamma))
 
     def make(leg, travel, angle):
         def transform(state: StateVector, rng) -> StateVector:
@@ -178,7 +179,6 @@ def _pns_kind(variant: str) -> str:
 class PnsScenario:
     """One fully built photon-splitting scenario at fixed angles."""
 
-    variant: str
     layout: tuple                # qubit labels in register order
     state: StateVector
 
@@ -192,5 +192,5 @@ def pns_build(variant: str, alpha, beta) -> PnsScenario:
     (both stations).  Bob's pulse mirrors this with D, E1', E2' at beta.
     """
     kind = _pns_kind(variant)
-    return PnsScenario(variant, _batch.SCENARIOS[kind].layout,
+    return PnsScenario(_batch.SCENARIOS[kind].layout,
                        _prepared_state(kind, alpha=alpha, beta=beta))

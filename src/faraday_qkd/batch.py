@@ -63,14 +63,11 @@ _TOL = 1e-13
 _MATMUL_BRANCHES = 16
 
 
-@lru_cache(maxsize=None)
 def _qfr_phases(n, gates):
     """The diagonal of the QFR gates ``gates``, (control, target) pairs, on an
-    n-qubit register: exp(-i pi/4 sum z_control z_target), read-only."""
+    n-qubit register: exp(-i pi/4 sum z_control z_target)."""
     z = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
-    phases = np.exp(-0.25j * np.pi * sum(z[:, c] * z[:, t] for c, t in gates))
-    phases.flags.writeable = False
-    return phases
+    return np.exp(-0.25j * np.pi * sum(z[:, c] * z[:, t] for c, t in gates))
 
 
 def _flipped(amps, q):
@@ -137,8 +134,9 @@ _LEGS = ((0.0, "cx"), (np.pi / 2, "cy"), (0.0, "cx"), (np.pi / 2, "cy"))
 
 def _eve_angle(tree, travel, shift):
     """Eve's basis angle on a leg, gamma + shift, in the frame of the travel
-    qubit: one angle per point."""
-    return tree.attack["gamma"] + shift - tree.angles[tree.sc.kets[travel]]
+    qubit: one angle per point.  gamma is taken mod 2 pi first, so a large
+    one keeps the shift and the frame's angle."""
+    return tree.attack["gamma"] % (2 * np.pi) + shift - tree.angles[tree.sc.kets[travel]]
 
 
 def _intercept(tree, travel, shift, overlap):
@@ -215,53 +213,43 @@ def _eve_povm(cx, cy):
     return p1 + residual @ (up @ up.conj().T) @ residual
 
 
-def _povm(tree):
-    """Eve's two-outcome POVM (``_eve_povm``), on her (E, F) pair to guess
-    Bob's home bit, then on (E', F') to guess Alice's: P(up) is
-    tr((M_up (x) 1) rho_b), the identity on her other pair, over tr(rho_b)."""
+def _povm(tree, record, label):
+    """Eve's two-outcome POVM (``_eve_povm``) on her ancilla pair of qubit
+    ``label`` and the one above it: P(up) is tr((M_up (x) 1) rho_b), the
+    identity on her other qubits, over tr(rho_b), recorded as ``record``."""
     m_up = _eve_povm(tree.attack["cx"], tree.attack["cy"])
     psi = tree.amps
-    # M_up acts on the second-to-last axis: (E, F), then (E', F')
-    for label, shape in (("guess_bob", (4, 4, 16)), ("guess_alice", (4, 64))):
-        up = _weight(psi, (m_up @ psi.reshape(*psi.shape[:2], *shape)).reshape(psi.shape))
-        tree.steps.append((label, False, False, up))
+    pair = psi.reshape(*psi.shape[:2], -1, len(m_up), 1 << tree.sc.layout.index(label))
+    tree.steps.append((record, False, False, _weight(psi, (m_up @ pair).reshape(psi.shape))))
 
 
-@lru_cache(maxsize=None)
-def _eve_helstrom(n, gates, c):
-    """Eve's Helstrom measurement in the frame, for an n-qubit kind with QFR
-    gates ``gates``, the homes below position c, C at c, D just above C and
-    her four photons on top.
+def _helstrom(tree):
+    """Eve's Helstrom measurement on her stolen photons, every qubit above C
+    and D, between her states given the shared odd key bit.
 
     Her states given C = D = bit are R_E rho_bit R_E^+, with R_E the rotation
     by her photons' angles and rho_bit from the frame register
-    2**(-n/2) * ``_qfr_phases(n, gates)``, C and D read at angle 0; bit 0 is
-    key 1.  So the trace distance between them and the positive eigenspace of
-    rho_0 - rho_1 in the frame, one eigh in her 16 dimensions, are constants
-    of the kind.  Returns the trace distance and that eigenspace's basis,
-    conjugated, (16, k), read-only."""
-    prep = _qfr_phases(n, gates).reshape(-1, 2, 2, 1 << c)    # (eve, D, C, homes)
+    2**(-n/2) * ``_qfr_phases``, C and D read at angle 0; bit 0 is key 1.  So
+    the trace distance between them and the positive eigenspace of
+    rho_0 - rho_1 in the frame, one eigh in her dimensions, are constants of
+    the kind, solved in its compile.  Her P(guess key 1) is the weight of
+    each branch's projection onto that eigenspace, over the branch's
+    weight."""
+    sc, n = tree.sc, len(tree.sc.layout)
+    lo, hi = sorted(sc.layout.index(k) for k in ("C", "D"))
+    # (Eve's photons, the upper of C and D, between, the lower, below)
+    prep = _qfr_phases(n, sc.gates).reshape(1 << (n - hi - 1), 2, -1, 2, 1 << lo)
     rho = []
     for s in (1, -1):                                    # <0| or <pi| on both C and D
-        m = prep[:, 0, 0] + s * (prep[:, 0, 1] + prep[:, 1, 0]) + prep[:, 1, 1]
+        m = prep[:, 0, :, 0] + s * (prep[:, 0, :, 1] + prep[:, 1, :, 0]) + prep[:, 1, :, 1]
+        m = m.reshape(len(m), -1)
         r = m @ m.conj().T
         rho.append(r / np.trace(r).real)
     vals, vecs = np.linalg.eigh(rho[0] - rho[1])
     up = vecs[:, vals > 1e-9].conj()
-    up.flags.writeable = False
-    return 0.5 * float(np.sum(np.abs(vals))), up
-
-
-def _helstrom(tree):
-    """Eve's Helstrom measurement on her four stolen photons between her
-    states given the shared odd key bit, solved once per kind
-    (``_eve_helstrom``): her P(guess key 1) is the weight of each branch's
-    projection onto its positive eigenspace, over the branch's weight."""
-    sc = tree.sc
-    t, up = _eve_helstrom(len(sc.layout), sc.gates, sc.layout.index("C"))
-    a = tree.amps.reshape(*tree.amps.shape[:2], 16, -1)      # Eve's photons on top
+    a = tree.amps.reshape(*tree.amps.shape[:2], len(up), -1)      # Eve's photons on top
     p1 = np.sum(np.abs(np.einsum("pbeh,ek->pbkh", a, up)) ** 2, axis=(2, 3))
-    tree.fixed["trace_dist"] = t
+    tree.fixed["trace_dist"] = 0.5 * float(np.sum(np.abs(vals)))
     tree.steps.append(("guess", True, False, p1))
 
 
@@ -311,9 +299,10 @@ _PULSE_KETS = ("alpha", "beta", "alpha", "alpha", "beta", "beta")
 SCENARIOS = {
     "none": _NONE,
     "general": replace(_NONE, draws=8, layout=("A", "B", "C", "D", "E", "F", "E'", "F'"),
-                       readout=_NONE.readout + ((_povm,),), channel=_entangle,
-                       eve=("guess_alice", "guess_bob"), params=("cx", "cy", "gamma"),
-                       eve_key="k_alice_even"),
+                       readout=_NONE.readout + ((_povm, "guess_bob", "E"),
+                                                (_povm, "guess_alice", "E'")),
+                       channel=_entangle, eve=("guess_alice", "guess_bob"),
+                       params=("cx", "cy", "gamma"), eve_key="k_alice_even"),
     "intercept": replace(_NONE, draws=10, channel=_intercept, params=("gamma",)),
     # Eve's lone home E brokers all three travel qubits: C picks up rotations
     # from (A, E), D from (B, E) and her own travel E' from (E, A)

@@ -478,7 +478,9 @@ def _build_parser() -> _Parser:
                         help="worker process count (or FARADAY_QKD_WORKERS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
+    sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment",
+                         description="Run a seeded Monte Carlo experiment; an attack's "
+                                     "basis angle gamma is taken mod 2 pi.")
     sim.add_argument("--rounds", type=int, default=None)
     sim.add_argument("--test-bits", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)

@@ -37,10 +37,6 @@ class EquatorAngle:
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value) % (2.0 * np.pi))
 
-    def bar(self) -> "EquatorAngle":
-        """Antipodal angle: phi + pi."""
-        return EquatorAngle(self.value + np.pi)
-
     def __float__(self) -> float:
         return self.value
 

@@ -80,6 +80,11 @@ class TestAncillaPair:
         with pytest.raises(ValueError):
             make_ancilla_pair(1.2)
 
+    @pytest.mark.parametrize("cx, cy", [(1.2, 0.5), (0.5, -0.1)])
+    def test_spec_rejects_out_of_range(self, cx, cy):
+        with pytest.raises(ValueError, match="ancilla overlaps"):
+            spec_of(0.3, cx, cy)
+
 
 class TestHooks:
     def test_hooks_are_isometries(self):
@@ -219,6 +224,16 @@ class TestDetectionStatistics:
         for a in pds:
             for b in pds:
                 assert abs(a - b) < 3 * np.sqrt(2) * sigma
+
+    @pytest.mark.parametrize("params, rate", [
+        ({"kind": "general", "gamma": 1e308, "cx": 0.5, "cy": 0.5}, 0.3046875),
+        ({"kind": "intercept", "gamma": 1e300}, 0.375)])
+    def test_huge_gamma_keeps_the_closed_form_rate(self, params, rate):
+        """gamma is taken mod 2 pi: at a gamma far beyond 2 pi / ulp the
+        detection rate still meets the closed form, which has no gamma."""
+        n = 40_000
+        pd, _ = mc_detection(37, n, params)
+        assert abs(pd - rate) < 5 * np.sqrt(rate * (1 - rate) / n)
 
     def test_intercept_equals_general_overlap_zero(self):
         pd_i, _ = mc_detection(29, 30_000, {"kind": "intercept", "gamma": 0.9})

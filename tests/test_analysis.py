@@ -24,6 +24,9 @@ class TestDetectionProbability:
             an.detection_probability(-0.1, 0.5)
         with pytest.raises(ValueError):
             an.detection_probability(0.5, 1.1)
+        for cx, cy in ((-0.1, 0.5), (0.5, 1.1)):
+            with pytest.raises(ValueError, match="overlaps"):
+                an.simulated_detection_probability(cx, cy)
 
     def test_monotone_non_increasing(self):
         grid = np.linspace(0, 1, 21)
@@ -68,6 +71,11 @@ class TestEntropyAndInformation:
         with pytest.raises(ValueError):
             an.eve_error(-0.01)
 
+    @pytest.mark.parametrize("p_d", [-0.01, 1.01])
+    def test_ab_domain(self, p_d):
+        with pytest.raises(ValueError, match="detection probability"):
+            an.mutual_info_ab(p_d)
+
     def test_ae_consistent_with_eve_error(self):
         for p in np.linspace(0.0, 0.375, 16):
             assert an.mutual_info_ae(p) == pytest.approx(
@@ -94,6 +102,15 @@ class TestSolvers:
 
     def test_entropy_inverse_full_budget(self):
         assert an.entropy_inverse(1.0) == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("budget", [-0.1, 1.5])
+    def test_entropy_inverse_rejects_out_of_range(self, budget):
+        with pytest.raises(ValueError, match="entropy budget"):
+            an.entropy_inverse(budget)
+
+    def test_bisect_needs_a_bracket(self):
+        with pytest.raises(ValueError, match="root not bracketed"):
+            an._bisect(lambda p: p + 1.0, 0.0, 1.0)
 
     def test_solvers_are_deterministic(self):
         assert an.find_security_threshold() == an.find_security_threshold()

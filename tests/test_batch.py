@@ -63,9 +63,9 @@ def test_prepared_register_matches_scalar_build(kind):
 
 
 def test_scenarios_list_home_kets_first():
-    """Eve's Helstrom step reads the homes below C (``_eve_helstrom``), and
-    every kind keeps that order, so a kind that lists a home ket after a
-    drawn one must fail here."""
+    """Eve's Helstrom step (``_helstrom``) takes every qubit above C and D as
+    hers and traces out those below, the homes, and every kind keeps that
+    order, so a kind that lists a home ket after a drawn one must fail here."""
     for kind, sc in batch.SCENARIOS.items():
         homes = sc.kets.count("home")
         assert sc.kets[:homes] == ("home",) * homes, kind
@@ -614,6 +614,17 @@ def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
             assert not cut.flags.writeable and cut.shape == (len(num),)
             with pytest.raises(ValueError):
                 cut[0] = 0
+
+
+@pytest.mark.parametrize("kind", ["none", "general"])
+def test_sampler_rejects_unused_draws(kind):
+    """A chunk with one column more than the kind's steps use is an error,
+    not a silently dropped draw."""
+    sc = batch.SCENARIOS[kind]
+    attack = _attack(kind)
+    tbl = batch._table(sc, tuple(float(attack[p]) for p in sc.params))
+    with pytest.raises(RuntimeError, match="left draws unused"):
+        batch._sample(tbl, harness.round_uniforms(43, 0, 8, sc.draws + 1))
 
 
 @pytest.mark.parametrize("kind", batch.SCENARIOS)

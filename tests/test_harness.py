@@ -70,6 +70,15 @@ class TestConfig:
             ExperimentConfig(rounds=10, test_bits=11, master_seed=1)
         with pytest.raises(CliError):
             ExperimentConfig(rounds=2**64, test_bits=0, master_seed=1)
+        for seed in (-1, 2**64):
+            with pytest.raises(CliError, match="seed must fit in 64 bits"):
+                ExperimentConfig(rounds=10, test_bits=0, master_seed=seed)
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("rounds = 10\nseed 5\n", encoding="utf-8")
+        with pytest.raises(CliError, match=r":2: expected 'key = value'"):
+            harness.parse_config_file(str(cfg))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
@@ -131,7 +140,8 @@ class TestScalarBatchEquivalence:
                 cols["k_bob_odd"][r], cols["k_bob_even"][r])
 
     def test_intercept(self):
-        for seed, gamma in ((901, 0.45), (904, 2.0)):
+        # both engines take gamma mod 2 pi, also where gamma + pi/2 == gamma
+        for seed, gamma in ((901, 0.45), (904, 2.0), (907, 1e17), (908, 1e300)):
             u = round_uniforms(seed, 0, 200, 10)
             cols = batch.protocol_rounds(u, {"kind": "intercept", "gamma": gamma})
             hooks = intercept_resend_hooks(gamma)
@@ -143,10 +153,12 @@ class TestScalarBatchEquivalence:
                 assert t.bob_bits[1] == cols["k_bob_even"][r], (gamma, r)
 
     def test_general_attack_with_eve(self):
-        # the balanced spec, then two unbalanced ones
+        # the balanced spec, two unbalanced ones, then gamma far beyond 2 pi
         for seed, rounds, gamma, cx, cy in ((902, 150, 0.8, 0.45, 0.45),
                                             (905, 200, 0.0, 0.2, 0.8),
-                                            (906, 200, 2.5, 0.9, 0.5)):
+                                            (906, 200, 2.5, 0.9, 0.5),
+                                            (907, 100, 1e17, 0.5, 0.5),
+                                            (909, 100, 1e308, 0.5, 0.5)):
             spec = GeneralAttackSpec(EquatorAngle(gamma), cx, cy)
             disc = EveDiscriminator(spec)
             u = round_uniforms(seed, 0, rounds, 8)
@@ -544,6 +556,31 @@ class TestCli:
         assert harness.main(["simulate", "--rounds", "10", "--seed", "1",
                              "--attack", "bogus"]) == 1
         assert harness.main(["nonsense"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--seed", "1"], "error: rounds not given"),
+        (["simulate", "--rounds", "10", "--seed", str(2**64)], "error: seed must fit in 64 bits"),
+        (["simulate", "--rounds", "10", "--seed", "-1"], "error: seed must fit in 64 bits"),
+        (["--workers", "0", "simulate", "--rounds", "10", "--seed", "1"],
+         "error: workers must be >= 1")])
+    def test_bad_run_arguments_exit_one(self, argv, message, capsys):
+        assert harness.main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_bad_env_workers_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("FARADAY_QKD_WORKERS", "many")
+        assert harness.main(["simulate", "--rounds", "10", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: bad FARADAY_QKD_WORKERS value 'many'")
+
+    def test_unreadable_config_exit_two(self, tmp_path, capsys):
+        assert harness.main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: cannot read")
+
+    def test_curves_via_cli(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert harness.main(["curves", "--step", "0.01", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"curves written to {out}\n"
+        assert out.read_bytes().startswith(b"p_d,")
 
     def test_io_error_exit_two(self, capsys):
         rc = harness.main(["simulate", "--rounds", "10", "--seed", "1",

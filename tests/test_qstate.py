@@ -19,10 +19,6 @@ class TestEquatorAngle:
         a = qs.EquatorAngle(7.0 * np.pi)
         assert abs(a.value - np.pi) < 1e-12
 
-    def test_bar_is_antipodal(self):
-        a = qs.EquatorAngle(0.3)
-        assert abs(a.bar().value - (0.3 + np.pi)) < 1e-12
-
     def test_float_coercion(self):
         assert float(qs.EquatorAngle(1.25)) == pytest.approx(1.25)
 
@@ -228,6 +224,11 @@ class TestTraceDistance:
         assert t01 == pytest.approx(qs.trace_distance(rhos[1], rhos[0]), abs=1e-12)
         assert t02 <= t01 + t12 + 1e-9
 
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            qs.trace_distance(qs.reduced_density(rand_state(1), [0]),
+                              qs.reduced_density(rand_state(2), [0, 1]))
+
     def test_rejects_non_hermitian(self):
         rho = qs.reduced_density(rand_state(1), [0])
         bad = qs.DensityMatrix(2, np.eye(2) / 2)
@@ -245,6 +246,14 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             qs.DensityMatrix(2, np.diag([1.5, -0.5]))
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            qs.DensityMatrix(4, np.eye(2) / 2)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qs.DensityMatrix(2, np.array([[0.5, 0.3], [0.1, 0.5]]))
+
 
 class TestNormPreservation:
     def test_gates_preserve_norm(self):
@@ -257,6 +266,14 @@ class TestNormPreservation:
     def test_register_size_guard(self):
         with pytest.raises(ValueError):
             qs.StateVector(13, np.zeros(2 ** 13))
+
+    def test_amplitude_length_guard(self):
+        with pytest.raises(ValueError, match="amplitude length"):
+            qs.StateVector(2, np.zeros(8))
+
+    def test_controlled_gate_needs_two_qubits(self):
+        with pytest.raises(ValueError, match="must differ"):
+            qs.apply_controlled_unitary(rand_state(2), 1, 1, qs.basis_rotation(0.4))
 
 
 SIZES = (1, 2, 3, 4, 5, 6, 8)
