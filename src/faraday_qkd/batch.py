@@ -33,10 +33,12 @@ sample.
 
 A channel kind's step reads only its harmonic support (``_terms``), 9 of
 the 25 columns in general and 1 to 25 by step in intercept, and drops its
-coefficients beyond it, each at most ``_TOL``; a step of at most
-``_MATMUL_BRANCHES`` branches is one small product and a take, a wider one
-a row gather and dot.  So p moves by the dropped terms (at most 6e-16 each
-where measured) and rounding: only a draw within ~1e-14 / w of p / w flips.
+coefficients beyond it, each at most ``_TOL``.  ``_basis`` forms only the
+harmonics those columns read: 1, cos 2 and sin 2 of each angle in general,
+all five in intercept.  A step of at most ``_MATMUL_BRANCHES`` branches is
+one small product and a take, a wider one a row gather and dot.  So p
+moves by the dropped terms (at most 6e-16 each where measured) and
+rounding: only a draw within ~1e-14 / w of p / w flips.
 
 Gates and channel operations address the register by position, in the order
 of ``Scenario.layout``, Eve's ancillas on top; readout steps name qubits by
@@ -362,11 +364,22 @@ def _branches(sc, attack, angles):
     return tree
 
 
+def _harmonics(theta, orders):
+    """phi_i(theta) of each angle for i = 1, 2 and each of 3 and 4 in
+    ``orders``, as {i: row}: cos, sin, and cos 2 and sin 2 from them."""
+    c, s = np.cos(theta), np.sin(theta)
+    rows = {1: c, 2: s}
+    if 3 in orders:
+        rows[3] = 2 * c * c - 1
+    if 4 in orders:
+        rows[4] = 2 * s * c
+    return rows
+
+
 def _phi(theta):
     """phi(theta) = [1, cos, sin, cos 2, sin 2] of each angle, (5, angles): a
     trig polynomial of degree 2 is phi . its coefficients."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.ones_like(c), c, s, 2 * c * c - 1, 2 * s * c])
+    return np.stack([np.ones_like(theta), *_harmonics(theta, (3, 4)).values()])
 
 
 def _compile(sc, attack):
@@ -433,9 +446,20 @@ def _table(sc, values):
 def _basis(angles, cols):
     """Columns ``cols`` of each round's phi(alpha) (x) phi(beta), column
     5 i + j being phi_i(alpha) phi_j(beta), as (columns, rounds): a step
-    on the first k of ``cols`` reads the contiguous rows ``[:k]``."""
-    pa, pb = (_phi(angles[k]) for k in ("alpha", "beta"))
-    return pa[cols // 5] * pb[cols % 5]
+    on the first k of ``cols`` reads the contiguous rows ``[:k]``.  Only the
+    harmonics ``cols`` read are formed, and each row is written in place: a
+    product of two harmonics, or a copy where the other factor is phi_0 = 1,
+    since 1.0 x == x."""
+    pairs = [divmod(col, 5) for col in cols.tolist()]
+    pa = _harmonics(angles["alpha"], {i for i, _ in pairs})
+    pb = _harmonics(angles["beta"], {j for _, j in pairs})
+    out = np.empty((len(pairs), len(angles["alpha"])))
+    for row, (i, j) in zip(out, pairs):
+        if i and j:
+            np.multiply(pa[i], pb[j], out=row)
+        else:
+            row[...] = pa[i] if i else pb[j] if j else 1.0
+    return out
 
 
 def _sample(tbl, u):

@@ -11,7 +11,9 @@ the counter (k, 0, 0, 0), words in block order, word x gives
 numpy's ``Philox``.  Its words are (blocks, rounds) arrays, rounds contiguous,
 and its (rounds, draws) result is draw-major, each draw's column contiguous.
 Results are therefore independent of chunking and worker count, and CSV
-output is byte-identical for any ``--workers`` value.
+output is byte-identical for any ``--workers`` value.  The pass's numpy
+operands are read-only 0-d uint64 arrays, and the two products that never
+meet the round key (round 1's and round 2's lane 0) are Python ints.
 
 CSV format: header row, comma delimiter, LF line endings; float cells are
 byte for byte ``%.11e`` and integer cells ``%d`` (re-parsing a file and
@@ -145,23 +147,38 @@ class RunReport:
         return "\n".join(lines)
 
 
-# Philox4x64 multipliers and key bumps (Salmon et al., SC'11), limb mask, shifts
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LO32, _S32, _S11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+def _u64(value: int) -> np.ndarray:
+    """``value`` mod 2**64 as a read-only 0-d uint64 array: numpy turns a
+    scalar operand into an array on every call, a 0-d array it takes as is."""
+    word = np.array(value % 2 ** 64, dtype=np.uint64)
+    word.flags.writeable = False
+    return word
 
 
-def _mulhilo(a: np.ndarray, m: np.uint64):
+# Philox4x64 multipliers and key bumps (Salmon et al., SC'11), each
+# multiplier's 32-bit limbs, limb mask and shifts, all 0-d operands
+_PHILOX_M = (_u64(0xD2E7470EE14C6C93), _u64(0xCA5A826395121157))
+_PHILOX_W = (_u64(0x9E3779B97F4A7C15), _u64(0xBB67AE8584CAA73B))
+_LIMBS = {int(m): (_u64(int(m) & 0xFFFFFFFF), _u64(int(m) >> 32)) for m in _PHILOX_M}
+_LO32, _S32, _S11 = _u64(0xFFFFFFFF), _u64(32), _u64(11)
+
+
+def _mulhilo(a: np.ndarray, m: np.ndarray):
     """High and low words of the 128-bit products a * m, from 32-bit limbs;
-    the limb arrays are fresh, so the sums build up in them in place."""
-    a_lo, a_hi, m_lo, m_hi = a & _LO32, a >> _S32, m & _LO32, m >> _S32
-    mid = a_hi * m_lo
-    mid += (a_lo * m_lo) >> _S32
+    the limb arrays and ``t`` are fresh, so the shifts, masks and sums build
+    up in them in place."""
+    m_lo, m_hi = _LIMBS[int(m)]
+    a_lo, a_hi = a & _LO32, a >> _S32
+    mid, t = a_hi * m_lo, a_lo * m_lo
+    t >>= _S32
+    mid += t
     a_lo *= m_hi
-    a_lo += mid & _LO32
+    a_lo += np.bitwise_and(mid, _LO32, t)
     a_hi *= m_hi
-    a_hi += mid >> _S32
-    a_hi += a_lo >> _S32
+    mid >>= _S32
+    a_hi += mid
+    a_lo >>= _S32
+    a_hi += a_lo
     return a_hi, a * m
 
 
@@ -174,19 +191,36 @@ def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.n
     The tier-1 tests pin it byte for byte against numpy's ``Philox``.
 
     Words are (blocks, rounds), rounds contiguous (the round key broadcasts
-    along the slow axis), and start at the shapes they vary over.  Word lane
-    j fills draws j, j + 4, ... of one (draws, rounds) array in place; the
+    along the slow axis).  Two products never meet the round key: round 1's
+    (block number k times m0; lane 2 is 0) and round 2's lane 0 (the seed
+    times m0).  Both are exact Python ints, reduced mod 2**64 where they meet
+    a key; every other operand is a read-only 0-d uint64 array.  Word lane j
+    fills draws j, j + 4, ... of one (draws, rounds) array in place; the
     result is its transpose, each draw's column contiguous.
     """
-    blocks = -(-draws // 4)
-    x = [np.arange(1, blocks + 1, dtype=np.uint64)[:, None]]
-    x += [np.zeros((1, 1), dtype=np.uint64)] * 3
-    k1 = (np.uint64(start) + np.arange(count, dtype=np.uint64))[None, :]
-    for k0 in np.uint64(master_seed) + _PHILOX_W[0] * np.arange(10, dtype=np.uint64):
+    master_seed, start = int(master_seed), int(start)  # numpy ints would wrap
+    m0, w0 = int(_PHILOX_M[0]), int(_PHILOX_W[0])
+    k1 = np.arange(count, dtype=np.uint64)[None, :]
+    k1 += _u64(start)
+    # round 1 ciphers (k, 0, 0, 0) into (seed, 0, hi(k m0) ^ k1, lo(k m0))
+    products = [divmod(k * m0, 2 ** 64) for k in range(1, -(-draws // 4) + 1)]
+    x2 = np.array([[hi] for hi, _ in products], dtype=np.uint64) ^ k1
+    # round 2: lane 0 is the seed, so lane 2 becomes hi(seed m0) ^ lo(k m0) ^ k1
+    k1 += _PHILOX_W[1]
+    hi, lo = divmod(master_seed * m0, 2 ** 64)
+    hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+    hi1 ^= _u64(master_seed + w0)
+    x2 = np.array([[hi ^ low] for _, low in products], dtype=np.uint64) ^ k1
+    x = [hi1, lo1, x2, _u64(lo)]
+    for r in range(2, 10):
+        k1 += _PHILOX_W[1]
         hi0, lo0 = _mulhilo(x[0], _PHILOX_M[0])
         hi1, lo1 = _mulhilo(x[2], _PHILOX_M[1])
-        x = [hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0]
-        k1 += _PHILOX_W[1]
+        hi1 ^= x[1]
+        hi1 ^= _u64(master_seed + r * w0)
+        hi0 ^= x[3]
+        hi0 ^= k1
+        x = [hi1, lo1, hi0, lo0]
     u = np.empty((draws, count))
     for j, word in enumerate(x):
         lane = word[:len(range(j, draws, 4))]
@@ -250,7 +284,10 @@ def _int_cells(x: np.ndarray) -> np.ndarray:
     np.negative(mag, out=mag, where=neg)  # two's complement: |-2**63| fits
     width = len(str(mag.max()))
     cells = _digits(mag, width)
-    cells[:, :-1] *= mag[:, None] >= _POW10_INT[width - 1:0:-1]  # leading zeros
+    if mag.min() < _POW10_INT[width - 1]:
+        # row l of the triangle keeps bytes l.. of a cell with width - l digits (0 has one)
+        digits = np.maximum(np.searchsorted(_POW10_INT, mag, side="right"), 1)
+        cells *= np.triu(np.ones((width, width), dtype=np.uint8)).take(width - digits, axis=0)
     if neg.any():
         cells = np.hstack([np.where(neg, ord("-"), 0).astype(np.uint8)[:, None], cells])
     return cells

@@ -104,6 +104,7 @@ def apply_1q_unitary(s: StateVector, q: int, u: np.ndarray) -> StateVector:
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _IDENTITY = np.eye(2, dtype=np.complex128)
+_PAULI_X.flags.writeable = _IDENTITY.flags.writeable = False
 
 
 def apply_pauli_x(s: StateVector, q: int) -> StateVector:

@@ -7,8 +7,10 @@ The one exception, ``eve_pair_states``, runs the scalar engine's gates and
 attack hooks, which share nothing with the batch compile it checks.
 ``carried_weight_sample`` is the batch sampler's earlier loop, on every
 coefficient column, kept to pin the per-branch thresholds and the pruned
-channel-kind terms that replaced it.  ``sextet`` is the repo's one
-copy of the six ancilla-pair vectors: ``attack_final_state`` and
+channel-kind terms that replaced it, and ``basis_product`` is
+``batch._basis``'s earlier full product of phi's five rows, kept to pin the
+basis that forms only the harmonics its columns read.  ``sextet`` is the
+repo's one copy of the six ancilla-pair vectors: ``attack_final_state`` and
 ``discriminator_m_up`` are built from it, and acceptance criterion 6 checks
 its subspace structure.
 Register conventions match the package: little-endian, |0> = up.
@@ -407,6 +409,13 @@ def helstrom_lab(prepared, eve, alpha, beta, c):
     proj = np.einsum("bjk,bj->bk", (q @ w).conj(), eve)
     p1 = np.clip(np.sum((vals > 1e-9) * np.abs(proj) ** 2, axis=1), 0.0, 1.0)
     return 0.5 * np.sum(np.abs(vals), axis=1), p1
+
+
+def basis_product(angles, cols):
+    """Columns ``cols`` of each round's phi(alpha) (x) phi(beta) as the full
+    product of two gathers of phi's five rows, (columns, rounds)."""
+    pa, pb = (batch._phi(angles[k]) for k in ("alpha", "beta"))
+    return pa[cols // 5] * pb[cols % 5]
 
 
 def full_basis(tbl, angles):

@@ -18,7 +18,7 @@ import pytest
 
 from faraday_qkd import adversary, analysis, batch, harness, qstate as qs
 
-from oracles import carried_weight_sample, full_basis, helstrom_lab
+from oracles import basis_product, carried_weight_sample, full_basis, helstrom_lab
 
 
 @pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel is None])
@@ -389,6 +389,26 @@ def test_basis_is_the_broadcast_product():
         assert got.flags.c_contiguous and got.dtype == np.float64
         assert got.shape == (len(cols), 300)
         assert got.tobytes() == np.ascontiguousarray(want[:, cols].T).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, batch.CHUNK])
+@pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel])
+def test_basis_is_the_full_product(kind, rows):
+    """``_basis``, which forms only the harmonics its columns read, equals the
+    full product of phi's rows (``oracles.basis_product``) byte for byte: on
+    the channel kind's ``cols`` at random specs, on all 25 columns and on a
+    random subset, at 1 row and at ``CHUNK`` rows."""
+    rng = np.random.default_rng(rows)
+    sc = batch.SCENARIOS[kind]
+    specs = [tuple(float(rng.uniform(0, 2 * np.pi if name == "gamma" else 1))
+                   for name in sc.params) for _ in range(3)]
+    col_sets = [batch._table(sc, spec).cols for spec in specs]
+    col_sets += [np.arange(25), rng.permutation(25)[:rng.integers(1, 25)]]
+    for cols in col_sets:
+        angles = dict(zip(("alpha", "beta"), rng.uniform(0, 2 * np.pi, (2, rows))))
+        got = batch._basis(angles, cols)
+        assert got.shape == (len(cols), rows) and got.flags.c_contiguous
+        assert got.tobytes() == basis_product(angles, cols).tobytes(), cols
 
 
 _CHANNEL_FREE = [kind for kind, sc in batch.SCENARIOS.items() if not sc.channel]

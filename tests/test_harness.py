@@ -81,7 +81,7 @@ class TestConfig:
             harness.parse_config_file(str(cfg))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1, 2**64 - 0x9E3779B97F4A7C15])
 def test_round_uniforms_is_numpy_philox(seed):
     """Round r's draws are numpy's Philox(key=(seed, r)) stream, byte for byte."""
     for start, count in ((0, 3), (harness.CHUNK_ROUNDS - 1, 3), (2**40, 3), (2**64 - 3, 2),
@@ -93,6 +93,16 @@ def test_round_uniforms_is_numpy_philox(seed):
             assert u.tobytes() == ref.tobytes(), (start, draws)
     for draws in (1, 6, 12):
         assert round_uniforms(seed, 0, 0, draws).shape == (0, draws)
+
+
+@pytest.mark.parametrize("seed, start", [(2**64 - 1, 2**63 + 7), (5, 0)])
+def test_round_uniforms_takes_numpy_integers(seed, start):
+    """A numpy integer seed or start gives the draws of the same Python int:
+    the Python-int rounds must not multiply or add in a wrapping dtype."""
+    want = round_uniforms(seed, start, 3, 8).tobytes()
+    for cast in (np.uint64, np.int64) if seed < 2**63 else (np.uint64,):
+        with np.errstate(all="raise"):
+            assert round_uniforms(cast(seed), cast(start), 3, 8).tobytes() == want
 
 
 @pytest.mark.parametrize("m", harness._PHILOX_M)

@@ -3,11 +3,14 @@
 Every top-level name of the package, public or private, is read by the
 package or by the benchmark, not only by the tests: code that only tests
 read is a second path to keep in step.  The scalar reference engine imports
-nothing of the batch code it checks."""
+nothing of the batch code it checks.  Every module-level numpy array of the
+package is read-only."""
 import ast
+import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,3 +119,27 @@ def test_reference_engine_imports(module, package_imports):
     outside = [name for name in imported_modules(tree) if name not in package_imports
                and name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert outside == []
+
+
+def arrays_in(value, name):
+    """(name, array) of each numpy array in ``value``, looking inside tuples,
+    lists and dict values."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from arrays_in(item, f"{name}[{i}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from arrays_in(item, f"{name}[{key!r}]")
+
+
+# module-level arrays are shared by every call in the process: an in-place
+# operation on one, such as a Philox operand, would change every later result
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.stem != "__main__"],
+                         ids=lambda p: p.name)
+def test_module_arrays_are_read_only(path):
+    module = importlib.import_module(f"faraday_qkd.{path.stem}")
+    arrays = [(name, arr) for key, value in vars(module).items()
+              for name, arr in arrays_in(value, key)]
+    assert [name for name, arr in arrays if arr.flags.writeable] == []
