@@ -63,6 +63,7 @@ class GeneralAttackSpec:
 
 def _attack_hook(leg: str, travel: int, basis_angle: float, c: float) -> ChannelHook:
     v = basis_rotation(basis_angle)
+    vh = v.conj().T
     # R_y rotates the fresh ancilla |0> onto the pair's second ket
     _, (c0, s0) = make_ancilla_pair(c)
     ry = np.array([[c0, -s0], [s0, c0]])
@@ -70,7 +71,7 @@ def _attack_hook(leg: str, travel: int, basis_angle: float, c: float) -> Channel
     def transform(state: StateVector, rng) -> StateVector:
         state = append_qubit(state)
         anc = state.num_qubits - 1
-        state = apply_1q_unitary(state, travel, v.conj().T)
+        state = apply_1q_unitary(state, travel, vh)
         state = apply_controlled_unitary(state, travel, anc, ry)
         return apply_1q_unitary(state, travel, v)
 

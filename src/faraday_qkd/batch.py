@@ -36,9 +36,11 @@ the 25 columns in general and 1 to 25 by step in intercept, and drops its
 coefficients beyond it, each at most ``_TOL``.  ``_basis`` forms only the
 harmonics those columns read: 1, cos 2 and sin 2 of each angle in general,
 all five in intercept.  A step of at most ``_MATMUL_BRANCHES`` branches is
-one small product and a take, a wider one a row gather and dot.  So p
-moves by the dropped terms (at most 6e-16 each where measured) and
-rounding: only a draw within ~1e-14 / w of p / w flips.
+one small product and a take; a wider one gathers each round's
+coefficients as (columns, rounds), the basis's own layout, and dots them
+with it over the columns.  So p moves by the dropped terms (at most 6e-16
+each where measured) and rounding: only a draw within ~1e-14 / w of p / w
+flips.
 
 Gates and channel operations address the register by position, in the order
 of ``Scenario.layout``, Eve's ancillas on top; readout steps name qubits by
@@ -485,7 +487,7 @@ def _sample(tbl, u):
                 terms = tbl.terms[i]
                 part = basis[:terms.shape[1]]
                 p = ((terms @ part).take(branch * n + at) if len(terms) <= _MATMUL_BRANCHES
-                     else np.einsum("rk,kr->r", terms.take(branch, axis=0), part))
+                     else np.einsum("kr,kr->r", terms.T.take(branch, axis=1), part))
                 bit = (next(draws) >= p / w).astype(np.int64)
                 if splits:
                     w = np.where(bit, w - p, p)

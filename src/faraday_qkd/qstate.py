@@ -9,23 +9,35 @@ Conventions (fixed repo-wide):
 
 A gate or measurement on qubit q works on the view
 ``amplitudes.reshape(-1, 2, 1 << q)``: axis 1 is qubit q, axis 0 the qubits
-above it and axis 2 those below, so a 2x2 operator acts with one ``matmul``.
-The QFR phase diagonal of each (register size, control, target) is built
-once and cached read-only.
+above it and axis 2 those below, so a 2x2 operator acts with one batched
+``matmul`` (hi products of 2 x 2 by 2 x lo).  The QFR phase diagonal of each
+(register size, control, target) and the control-bit mask of each (register
+size, control) are built once and cached read-only.  A measurement weighs
+both outcomes with one ``vdot`` each and draws against their sum, so an
+outcome of weight 0 is never drawn.
+
+The protocol's registers hold 16 to 1,024 amplitudes, so a primitive's cost
+is its count of numpy calls, not its arithmetic: ``StateVector``
+keeps a 1-D complex128 array as it is given (sharing it, as ``np.asarray``
+would), ``norm`` is one ``vdot``, and kets and rotations are built from
+``cmath.exp`` in one array call.
 
 State vectors are single-owner values; every public operation returns a fresh
 StateVector and leaves its input untouched.
 """
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_QUBITS = 12
 
-_SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_COMPLEX = np.dtype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -51,12 +63,14 @@ class StateVector:
     def __post_init__(self):
         if not (1 <= self.num_qubits <= MAX_QUBITS):
             raise ValueError(f"register size {self.num_qubits} outside 1..{MAX_QUBITS}")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        a = self.amplitudes
+        if not (type(a) is np.ndarray and a.dtype is _COMPLEX and a.ndim == 1):
+            self.amplitudes = np.asarray(a, dtype=np.complex128).reshape(-1)
         if self.amplitudes.size != 2 ** self.num_qubits:
             raise ValueError("amplitude length does not match register size")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
@@ -68,13 +82,13 @@ class StateVector:
 
 def equator_ket(phi) -> np.ndarray:
     """2-vector (|up> + e^{i phi}|down>)/sqrt(2)."""
-    return np.array([1.0, np.exp(1j * float(phi))]) / _SQRT2
+    return np.array([_INV_SQRT2, cmath.exp(1j * float(phi)) * _INV_SQRT2])
 
 
 def basis_rotation(phi) -> np.ndarray:
     """Unitary sending |0> -> |phi>, |1> -> |phi+pi>."""
-    e = np.exp(1j * float(phi))
-    return np.array([[1.0, 1.0], [e, -e]]) / _SQRT2
+    e = cmath.exp(1j * float(phi)) * _INV_SQRT2
+    return np.array([[_INV_SQRT2, _INV_SQRT2], [e, -e]])
 
 
 def make_equator_state(phi) -> StateVector:
@@ -143,22 +157,34 @@ def append_qubit(s: StateVector, ket=None) -> StateVector:
     return StateVector(s.num_qubits + 1, np.multiply.outer(vec, s.amplitudes).ravel())
 
 
+@functools.lru_cache(maxsize=None)
+def _control_mask(n: int, control: int) -> np.ndarray:
+    """Read-only mask of the n-qubit amplitudes whose qubit `control` is |1>."""
+    on = (np.arange(1 << n) >> control) & 1 == 1
+    on.flags.writeable = False
+    return on
+
+
 def apply_controlled_unitary(s: StateVector, control: int, target: int,
                              u: np.ndarray) -> StateVector:
     """Apply u on target when qubit control is in |1>."""
     s._check_qubit(control)
     if control == target:
         raise ValueError("control and target must differ")
-    on = (np.arange(s.amplitudes.size) >> control) & 1 == 1
-    return StateVector(s.num_qubits, np.where(on, (u @ _view(s, target)).ravel(), s.amplitudes))
+    return StateVector(s.num_qubits, np.where(_control_mask(s.num_qubits, control),
+                                              (u @ _view(s, target)).ravel(), s.amplitudes))
 
 
 def _measure(s: StateVector, r: np.ndarray, v: np.ndarray, rng):
     """Measure in the orthonormal basis of v's columns (outcome +1 is column 0),
-    given r = v^dagger @ view: collapse r, then put the kept row back on its column."""
-    p0 = float(np.sum(np.abs(r[:, 0, :]) ** 2))
-    bit = 0 if rng.random() < p0 else 1
-    kept = r[:, bit, :] / np.sqrt(p0 if bit == 0 else 1.0 - p0)
+    given r = v^dagger @ view: collapse r, then put the kept row back on its column.
+
+    Both rows' weights are summed, so an outcome of weight 0 is never drawn
+    (even at a draw of 1 - 2**-53) and the kept row is scaled by its own norm."""
+    r0, r1 = r[:, 0, :], r[:, 1, :]
+    w0, w1 = np.vdot(r0, r0).real, np.vdot(r1, r1).real
+    bit = 0 if rng.random() * (w0 + w1) < w0 else 1
+    kept = (r1 if bit else r0) / math.sqrt(w1 if bit else w0)
     return 1 - 2 * bit, StateVector(s.num_qubits, (v[:, bit, None] * kept[:, None]).ravel())
 
 

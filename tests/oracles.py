@@ -36,6 +36,25 @@ def kron_le(factors):
     return out
 
 
+def partial_trace(psi, n, keep):
+    """Reduced density matrix of the n-qubit ket psi on the qubits in keep.
+
+    Sums |v><v| over every basis assignment of the traced qubits, where
+    v = (<traced bits| (x) I_keep) psi and each such operator is a kron_le of
+    per-qubit 2x2 identities (kept) and basis bras (traced), so the result is
+    indexed by the kept qubits in ascending order, the lowest as bit 0.
+    """
+    keep = sorted(keep)
+    traced = [q for q in range(n) if q not in keep]
+    rho = np.zeros((2 ** len(keep), 2 ** len(keep)), dtype=complex)
+    for bits in range(2 ** len(traced)):
+        value = {q: (bits >> j) & 1 for j, q in enumerate(traced)}
+        ops = [np.eye(2) if q in keep else np.eye(2)[[value[q]]] for q in range(n)]
+        v = kron_le(ops) @ np.asarray(psi, dtype=complex)
+        rho += np.outer(v, v.conj())
+    return rho
+
+
 def fid(a, b):
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)

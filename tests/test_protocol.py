@@ -47,6 +47,18 @@ class TestRunRound:
         with pytest.raises(ValueError):
             proto.run_round(1, keyed_rng(1, 0), hooks=[bad])
 
+    @pytest.mark.parametrize("leg", proto.LEGS)
+    def test_hook_norm_guard_tolerance(self, leg):
+        """The guard allows |norm - 1| up to 1e-9 after a hook, and no more."""
+        def scaling(factor):
+            return proto.ChannelHook(
+                leg, lambda s, rng: qs.StateVector(s.num_qubits, factor * s.amplitudes))
+
+        with pytest.raises(ValueError, match=f"hook on {leg} broke normalization"):
+            proto.run_round(1, keyed_rng(1, 0), hooks=[scaling(1 + 2e-9)])
+        t = proto.run_round(1, keyed_rng(1, 0), hooks=[scaling(1 + 5e-10)])
+        assert t.alice_bits == t.bob_bits
+
     def test_unknown_leg_rejected(self):
         with pytest.raises(ValueError):
             proto.ChannelHook("C:nowhere", lambda s, rng: s)

@@ -4,7 +4,7 @@ import pytest
 
 from faraday_qkd import qstate as qs
 
-from oracles import eq_ket, fid, kron_le
+from oracles import eq_ket, fid, kron_le, partial_trace
 
 RNG = np.random.default_rng(20240811)
 
@@ -195,6 +195,18 @@ class TestReducedDensity:
         with pytest.raises(ValueError):
             qs.reduced_density(rand_state(2), [])
 
+    @pytest.mark.parametrize("n, keep", [
+        *((n, tuple(q for q in range(n) if mask >> q & 1))
+          for n in range(1, 6) for mask in range(1, 2 ** n)),
+        (8, (4, 5)), (8, (6, 7)), (8, (4, 5, 6, 7)), (10, (6, 7, 8, 9)),
+    ])
+    def test_matches_dense_partial_trace(self, n, keep):
+        """Every keep subset up to 5 qubits, Eve's ancilla pairs and the PNS
+        kinds' Eve photons, against the kron_le partial trace."""
+        s = rand_state(n)
+        got = qs.reduced_density(s, keep).entries
+        assert np.max(np.abs(got - partial_trace(s.amplitudes, n, keep))) < 1e-14
+
 
 class TestTraceDistance:
     def test_identical_states(self):
@@ -253,6 +265,90 @@ class TestDensityMatrixValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             qs.DensityMatrix(2, np.array([[0.5, 0.3], [0.1, 0.5]]))
+
+
+def decided_register(n, q, ket):
+    """n-qubit register with qubit q exactly in the 2-vector ket (in exact
+    arithmetic) and a random state on the other qubits."""
+    rest = rand_state(n - 1).amplitudes if n > 1 else np.ones(1, dtype=complex)
+    amps = rest.reshape(-1, 1, 1 << q) * np.asarray(ket)[:, None]
+    return qs.StateVector(n, amps.reshape(-1))
+
+
+class TestBornRuleEdges:
+    """A qubit whose outcome is certain (p0 exactly 0 or 1) collapses to a
+    finite, unit-norm ket even at the extreme draws 0.0 and 1 - 2**-53, and
+    gives the certain outcome wherever the other branch's computed weight is
+    exactly 0.  In the equator basis that weight is a rounding residue
+    (below 1e-30), which only the draw 0.0 can select."""
+
+    DRAWS = (0.0, 1.0 - 2.0 ** -53)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_measure_z(self, n):
+        for q in range(n):
+            for outcome, ket in ((+1, [1.0, 0.0]), (-1, [0.0, 1.0])):
+                s = decided_register(n, q, ket)
+                for draw in self.DRAWS:
+                    got_outcome, got = qs.measure_z(s, q, Draw(draw))
+                    assert got_outcome == outcome
+                    assert np.all(np.isfinite(got.amplitudes))
+                    assert abs(np.linalg.norm(got.amplitudes) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_measure_equator(self, n):
+        for q in range(n):
+            phi = RNG.uniform(0, 2 * np.pi)
+            for outcome, ket in ((+1, eq_ket(phi)), (-1, eq_ket(phi + np.pi))):
+                s = decided_register(n, q, ket)
+                for draw in self.DRAWS:
+                    got_outcome, got = qs.measure_equator(s, q, phi, Draw(draw))
+                    assert got_outcome == outcome or draw == 0.0
+                    assert np.all(np.isfinite(got.amplitudes))
+                    assert abs(np.linalg.norm(got.amplitudes) - 1.0) < 1e-12
+
+
+def read_only(v):
+    v.flags.writeable = False
+    return v
+
+
+class TestStateVectorCast:
+    """Any array-like input ends up as 1-D complex128 amplitudes; both guards
+    fire whatever the input's form."""
+
+    FORMS = {
+        "list": lambda v: v.tolist(),
+        "float64": lambda v: v.real.copy(),
+        "complex 2-D": lambda v: v[None, :],
+        "complex64": lambda v: v.astype(np.complex64),
+        "read-only complex128": lambda v: read_only(v.copy()),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_cast_to_flat_complex128(self, form):
+        v = np.array([0.5, -0.5, 0.5, 0.5], dtype=complex)    # exact in every form
+        s = qs.StateVector(2, self.FORMS[form](v))
+        assert type(s.amplitudes) is np.ndarray
+        assert s.amplitudes.dtype == np.complex128 and s.amplitudes.shape == (4,)
+        assert np.array_equal(s.amplitudes, v)
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_guards_fire(self, form):
+        with pytest.raises(ValueError, match="amplitude length"):
+            qs.StateVector(2, self.FORMS[form](np.zeros(8, dtype=complex)))
+        with pytest.raises(ValueError, match="register size"):
+            qs.StateVector(0, self.FORMS[form](np.ones(1, dtype=complex)))
+        with pytest.raises(ValueError, match="register size"):
+            qs.StateVector(13, self.FORMS[form](np.zeros(2 ** 13, dtype=complex)))
+
+    @pytest.mark.parametrize("writeable", (True, False))
+    def test_flat_complex128_is_shared(self, writeable):
+        v = np.array([0.6, 0.0, 0.0, 0.8j])
+        v.flags.writeable = writeable
+        s = qs.StateVector(2, v)
+        assert np.shares_memory(s.amplitudes, v)
+        assert s.amplitudes.flags.writeable == writeable
 
 
 class TestNormPreservation:
@@ -418,3 +514,11 @@ class TestFreshResult:
         assert not np.shares_memory(first.amplitudes, phases)
         first.amplitudes[:] = 0.0
         assert np.array_equal(qs.apply_qfr(s, 0, 2).amplitudes, s.amplitudes * phases)
+
+    def test_cached_control_mask_is_read_only(self):
+        mask = qs._control_mask(3, 1)
+        assert mask is qs._control_mask(3, 1)
+        assert not mask.flags.writeable
+        assert mask.tolist() == [(i >> 1) & 1 == 1 for i in range(8)]
+        out = qs.apply_controlled_unitary(rand_state(3), 1, 0, qs.basis_rotation(0.3))
+        assert not np.shares_memory(out.amplitudes, mask)
