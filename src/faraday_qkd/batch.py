@@ -31,12 +31,18 @@ and branch, so a step is one gather and one comparison.  ``_table`` keeps
 the tables of the 16 most recently used specs, so later calls on a spec only
 sample.
 
+A round is sampled to one integer code, its steps' outcomes in order, and
+every guess follows every split, so the code less its guesses' bits is the
+branch.  ``_codes`` tabulates every column on the codes: a column is one
+``take``, formed only when read, and a run's statistics one ``bincount``.
+
 A channel kind's step reads only its harmonic support (``_terms``), 9 of
 the 25 columns in general and 1 to 25 by step in intercept, and drops its
 coefficients beyond it, each at most ``_TOL``.  ``_basis`` forms only the
 harmonics those columns read: 1, cos 2 and sin 2 of each angle in general,
-all five in intercept.  A step of at most ``_MATMUL_BRANCHES`` branches is
-one small product and a take; a wider one gathers each round's
+all five in intercept.  A step on column 0 alone (the constant 1) is a take,
+one of at most ``_MATMUL_BRANCHES`` branches one small product and a take,
+and a wider one gathers each round's
 coefficients as (columns, rounds), the basis's own layout, and dots them
 with it over the columns.  So p moves by the dropped terms (at most 6e-16
 each where measured) and rounding: only a draw within ~1e-14 / w of p / w
@@ -49,6 +55,7 @@ intercepting Eve resends the state she found.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -92,12 +99,13 @@ class _Tree:
     invert, splits, numerator) per draw after the angles, the numerator per
     (point, branch), over the branch's weight; ``fixed``, the constant
     records; from ``_table``, ``thresholds`` (each step's p / w per branch)
-    without a channel operation, ``cols`` and ``terms`` (``_terms``) with one."""
+    without a channel operation, ``cols`` and ``terms`` (``_terms``) with one,
+    and ``codes`` (``_codes``)."""
 
     def __init__(self, sc, attack, angles):
         self.sc, self.attack, self.angles = sc, attack, angles
         self.amps, self.bits, self.steps, self.fixed = None, {}, [], {}
-        self.thresholds = self.cols = self.terms = None
+        self.thresholds = self.cols = self.terms = self.codes = None
 
 
 def _project(amps, q, theta=None):
@@ -120,7 +128,9 @@ def _project(amps, q, theta=None):
 def _measure(tree, q, theta=None, record=None, invert=False):
     """Measure qubit q (as ``_project``): branch b splits into 2b and 2b + 1,
     and the step gives outcome 1 at draw >= P(0), recorded as ``record`` (its
-    complement with ``invert``)."""
+    complement with ``invert``); no guess may precede it (``_sample``)."""
+    if not all(step[2] for step in tree.steps):
+        raise ValueError("a measurement follows a guess step")
     kids = _project(tree.amps, q, theta)
     tree.steps.append((record, invert, True, _weight(kids[:, :, 0])))
     tree.amps = kids.reshape(len(kids), -1, kids.shape[3])
@@ -400,11 +410,11 @@ def _compile(sc, attack):
 
 
 def _terms(steps):
-    """``cols``, the basis columns with a coefficient above ``_TOL``, in order
-    of first use, and each step's (branches, k) coefficients on the fewest
-    first k of them that hold all of its own above ``_TOL``."""
+    """``cols``, column 0 and the basis columns with a coefficient above
+    ``_TOL``, in order of first use, and each step's (branches, k)
+    coefficients on the fewest first k of them that hold all of its own."""
     used = [np.flatnonzero(np.abs(num).max(axis=0) > _TOL) for *_, num in steps]
-    cols = np.array(list(dict.fromkeys(np.concatenate(used).tolist())), dtype=np.intp)
+    cols = np.array(list(dict.fromkeys([0, *np.concatenate(used).tolist()])), dtype=np.intp)
     k = [np.flatnonzero(np.isin(cols, u)).max(initial=-1) + 1 for u in used]
     return cols, tuple(num[:, cols[:j]] for (*_, num), j in zip(steps, k))
 
@@ -426,13 +436,38 @@ def _thresholds(steps):
     return tuple(out)
 
 
+def _codes(sc, steps, fixed):
+    """Every record and public column on the round codes, whose bits are the
+    steps' outcomes, copy after copy, the first the highest: a record is its
+    step's bit (complement with ``invert``), copy i's with suffix i, and a
+    ``fixed`` value constant; the public columns follow ``roles`` and
+    ``eve``, -1 for a key or guess the kind does not have."""
+    s, copies = len(steps), sc.copies
+    code, rec = np.arange(1 << s * copies), {}
+    for i in range(copies):
+        tag = str(i) if copies > 1 else ""
+        for j, (record, invert, _, _) in enumerate(steps):
+            if record:
+                rec[record + tag] = ((code >> (s * (copies - i) - 1 - j)) & 1) ^ invert
+        rec.update((name + tag, np.full(len(code), v)) for name, v in fixed.items())
+    c, d, a, b = (rec[k] for k in sc.roles[2:])
+    absent = -np.ones_like(c)
+    eve_a, eve_b = (rec[k] if k else absent for k in sc.eve)
+    return {**rec, "out_c": 2 * c - 1, "out_d": 2 * d - 1, "out_a": 1 - 2 * a, "out_b": 1 - 2 * b,
+            "k_alice_odd": c, "k_bob_odd": d,
+            "k_alice_even": a if sc.even_key else absent,
+            "k_bob_even": b if sc.even_key else absent,
+            "eve_guess_alice": eve_a, "eve_guess_bob": eve_b}
+
+
 @lru_cache(maxsize=16)
 def _table(sc, values):
     """Kind ``sc``'s branch table for the attack whose ``params`` take
     ``values``, compiled on first use and kept for the process; a kind
-    without parameters has one table, with its ``thresholds`` or, with a
-    channel operation, its ``cols`` and ``terms``; ``steps`` keep every
-    coefficient.  The amplitudes are dropped; every array is read-only."""
+    without parameters has one table, with its ``codes`` and ``thresholds``
+    or, with a channel operation, ``cols`` and ``terms``; ``steps`` keep
+    every coefficient.  The amplitudes are dropped; every array is
+    read-only."""
     attack = dict(zip(sc.params, values))
     tree = _compile(sc, attack)
     tree.amps = tree.attack = None
@@ -440,7 +475,9 @@ def _table(sc, values):
         tree.cols, tree.terms = _terms(tree.steps)
     else:
         tree.thresholds = _thresholds(tree.steps)
-    for arr in [step[3] for step in tree.steps] + list(tree.thresholds or (tree.cols, *tree.terms)):
+    tree.codes = _codes(sc, tree.steps, tree.fixed)
+    for arr in [*(step[3] for step in tree.steps), *tree.codes.values(),
+                *(tree.thresholds or (tree.cols, *tree.terms))]:
         arr.flags.writeable = False
     return tree
 
@@ -465,52 +502,64 @@ def _basis(angles, cols):
 
 
 def _sample(tbl, u):
-    """One chunk of rounds from the branch table ``tbl``: the angles, then
-    each step's outcome, 1 where the draw >= p / w, p its numerator at the
-    round's angles and branch b, w the branch's weight (1 at the normalised
-    frame register); a split moves the round to 2b + outcome, of weight p or
-    w - p.  Without a channel p / w is the table's threshold of the branch;
-    with one, each round carries its weight and p is the dot of the step's
-    ``terms`` of branch b with the round's first k ``_basis`` rows.  Only a
-    rounding event reaches weight 0, so its 0/0 is silent."""
+    """Each round's code from the branch table ``tbl``: a step's outcome is 1
+    where the draw >= p / w, p its numerator at the round's angles and branch
+    b (the code less the guesses' bits), w the branch's weight (1 at first);
+    a split moves the round to 2b + outcome, of weight p or w - p.  Without a
+    channel p / w is the table's threshold of the branch; with one, each
+    round carries its weight and p is the step's ``terms`` of branch b, or
+    their dot with the round's first k ``_basis`` rows.  Only a rounding
+    event reaches weight 0, so its 0/0 is silent."""
     draws = iter(u.T)
-    rec = {name: 2.0 * np.pi * next(draws) for name in _angles(tbl.sc)}
+    angles = dict(zip(_angles(tbl.sc), draws))           # the angles' draws
     n, cuts = len(u), tbl.thresholds
     if not cuts:
-        basis, w, at = _basis(rec, tbl.cols), np.ones(n), np.arange(n)
-    branch = np.zeros(n, dtype=np.int64)
+        basis = _basis({k: 2.0 * np.pi * v for k, v in angles.items()}, tbl.cols)
+        w, at = np.ones(n), np.arange(n)
+    code, guesses = np.zeros(n, dtype=np.intp), 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        for i, (record, invert, splits, _) in enumerate(tbl.steps):
+        for i, (_, _, splits, _) in enumerate(tbl.steps):
+            branch = code >> guesses if guesses else code
             if cuts:
-                bit = (next(draws) >= cuts[i].take(branch)).astype(np.int64)
+                bit = next(draws) >= cuts[i].take(branch)
             else:
                 terms = tbl.terms[i]
-                part = basis[:terms.shape[1]]
-                p = ((terms @ part).take(branch * n + at) if len(terms) <= _MATMUL_BRANCHES
-                     else np.einsum("kr,kr->r", terms.T.take(branch, axis=1), part))
-                bit = (next(draws) >= p / w).astype(np.int64)
+                k = terms.shape[1]
+                if k == 1:
+                    p = terms.take(branch)
+                elif len(terms) <= _MATMUL_BRANCHES:
+                    p = (terms @ basis[:k]).take(branch * n + at)
+                else:
+                    p = np.einsum("kr,kr->r", terms.T.take(branch, axis=1), basis[:k])
+                bit = next(draws) >= p / w
                 if splits:
                     w = np.where(bit, w - p, p)
-            if record:
-                rec[record] = bit ^ invert
-            if splits:
-                branch = 2 * branch + bit
+            code <<= 1
+            code |= bit
+            guesses += not splits
     if next(draws, None) is not None:
         raise RuntimeError("the scenario's operations left draws unused")
-    rec.update((name, np.full(len(u), v)) for name, v in tbl.fixed.items())
-    return rec
+    return code
 
 
-def _public(sc, rec):
-    """Measured key bits and guesses to the public columns."""
-    alpha, beta, c, d, a, b = (rec[k] for k in sc.roles)
-    eve_a, eve_b = (rec[k] if k else -np.ones_like(c) for k in sc.eve)
-    return {**rec, "alpha": alpha, "beta": beta,
-            "out_c": 2 * c - 1, "out_d": 2 * d - 1, "out_a": 1 - 2 * a, "out_b": 1 - 2 * b,
-            "k_alice_odd": c, "k_bob_odd": d,
-            "k_alice_even": a if sc.even_key else -np.ones_like(a),
-            "k_bob_even": b if sc.even_key else -np.ones_like(b),
-            "eve_guess_alice": eve_a, "eve_guess_bob": eve_b}
+class Rounds(Mapping):
+    """The read-only columns of rounds, from each round's ``code`` and the
+    code ``table``: an angle is 2 pi times its draw, any other column a take
+    of the table's, formed each time it is read."""
+
+    def __init__(self, code, table, draws):
+        self.code, self.table, self._draws = code, table, draws
+
+    def __getitem__(self, name):
+        if name in self._draws:
+            return 2.0 * np.pi * self._draws[name]
+        return self.table[name].take(self.code)
+
+    def __iter__(self):
+        return iter([*self._draws, *self.table])
+
+    def __len__(self):
+        return len(self._draws) + len(self.table)
 
 
 def protocol_rounds(u, attack=None):
@@ -518,29 +567,30 @@ def protocol_rounds(u, attack=None):
     row of ``u`` each; the attack's parameters come from the same dict
     (``gamma``; ``cx``, ``cy`` and ``gamma`` for ``general``, from which the
     compile builds Eve's POVM).  Returns the public columns and every readout
-    record.
+    record, ``Rounds`` read from the codes.
 
-    The kind is compiled into its branch table of real coefficients once per
-    process for each distinct spec (``_table``), and the rows are sampled
-    from it (``_sample``), a channel kind's in chunks of at most ``CHUNK``.
-    Every row is sampled on its own, so the chunk size changes no column.
-    Copy i of a kind with ``copies`` instances samples ``u[:, i*d:(i+1)*d]``,
+    The kind is compiled into its branch and code tables once per process
+    for each distinct spec (``_table``), and the rows are sampled from it
+    (``_sample``), a channel kind's in chunks of at most ``CHUNK``.  Every
+    row is sampled on its own, so the chunk size changes no column.  Copy i
+    of a kind with ``copies`` instances samples ``u[:, i*d:(i+1)*d]``,
     d = draws / copies, each draw a row of ``u.T`` (contiguous from
-    ``harness.round_uniforms``)."""
+    ``harness.round_uniforms``), into the code bits after copy i - 1's."""
     attack = attack or {"kind": "none"}
     sc = SCENARIOS[attack["kind"]]
     if u.ndim != 2 or u.shape[1] != sc.draws or not len(u):
         raise ValueError(f"{attack['kind']} needs rounds of {sc.draws} draws, got shape {u.shape}")
     tbl = _table(sc, tuple(float(attack[p]) for p in sc.params))
-    d, rec = sc.draws // sc.copies, {}
+    d, code, draws = sc.draws // sc.copies, 0, {}
     for i in range(sc.copies):
         rows = u[:, i * d:(i + 1) * d]
         step = CHUNK if sc.channel else len(rows)
-        chunks = [_sample(tbl, rows[lo:lo + step]) for lo in range(0, len(rows), step)]
+        parts = [_sample(tbl, rows[lo:lo + step]) for lo in range(0, len(rows), step)]
+        code = code << len(tbl.steps) | (parts[0] if len(parts) == 1 else np.concatenate(parts))
         tag = str(i) if sc.copies > 1 else ""
-        rec.update((name + tag, chunks[0][name] if len(chunks) == 1 else
-                    np.concatenate([c[name] for c in chunks])) for name in chunks[0])
-    return _public(sc, rec)
+        draws.update((name + tag, rows[:, j]) for j, name in enumerate(_angles(sc)))
+    draws["alpha"], draws["beta"] = draws[sc.roles[0]], draws[sc.roles[1]]
+    return Rounds(code, tbl.codes, draws)
 
 
 # kept only because perfbench/spans.py wraps them by name

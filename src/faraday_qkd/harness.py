@@ -229,11 +229,11 @@ def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.n
 
 
 def _run_chunk(args):
-    params, master_seed, start, count = args
+    """A chunk's round codes and code table, and its angles for the CSV."""
+    params, master_seed, start, count, csv = args
     u = round_uniforms(master_seed, start, count, batch.SCENARIOS[params["kind"]].draws)
-    cols = batch.protocol_rounds(u, params)
-    core = {k: cols[k] for k in CSV_COLUMNS[1:11] + ("trace_dist",) if k in cols}
-    return {**core, "eve_bit_alice": cols["eve_guess_alice"], "eve_bit_bob": cols["eve_guess_bob"]}
+    rounds = batch.protocol_rounds(u, params)
+    return rounds.code, rounds.table, [rounds["alpha"], rounds["beta"]] if csv else None
 
 
 # ASCII ``%04d`` of 0..9999 as uint32 words (the digits of i are the indices
@@ -360,22 +360,25 @@ def write_csv(path: str, columns: dict, order=CSV_COLUMNS):
         raise
 
 
-def _information(x, y) -> float:
-    """Empirical mutual information of two bit columns, which must hold only
-    0 and 1: the 2 x 2 table counts the codes 2x + y in one pass."""
-    table = np.bincount(2 * x + y, minlength=4).reshape(2, 2)
+def _counted_information(count, x, y) -> float:
+    """Empirical mutual information of the 0/1 code-table columns x and y
+    over rounds counted per code by ``count``: the 2 x 2 table sums the
+    counts of the codes 2x + y."""
+    table = np.bincount(2 * x + y, count, minlength=4).reshape(2, 2)
     return analysis.empirical_mutual_information(table)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run N protocol rounds under the configured attack, verify M test bits,
-    aggregate the report, and (optionally) write per-round CSV."""
+    aggregate the report, and (optionally) write per-round CSV.  Statistics
+    count the round codes against the code table; the tested set is drawn
+    only for the CSV or when some odd keys differ, as none can detect else."""
     t0 = time.perf_counter()
     n = cfg.rounds
     attack = cfg.attack
     eve_key = batch.SCENARIOS[attack.kind].eve_key
     params = {"kind": attack.kind, "gamma": attack.gamma, "cx": attack.c_x, "cy": attack.c_y}
-    chunks = [(params, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo))
+    chunks = [(params, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo), bool(cfg.output_path))
               for lo in range(0, n, CHUNK_ROUNDS)]
     # the fork start method launches every worker up front
     workers = min(cfg.workers, len(chunks))
@@ -386,36 +389,42 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             results = list(pool.map(_run_chunk, chunks))
     else:
         results = [_run_chunk(c) for c in chunks]
-    cols = results[0] if len(results) == 1 else {
-        k: np.concatenate([r[k] for r in results]) for k in results[0]}
-    cols["round"] = np.arange(1, n + 1, dtype=np.int64)
+    table = results[0][1]
+    code = np.concatenate([r[0] for r in results])
+    count = np.bincount(code, minlength=len(table["k_alice_odd"]))
+
+    mismatch = table["k_alice_odd"] != table["k_bob_odd"]
+    misses = count[mismatch].sum()
+    det_freq = float(misses / n)
+    sigma = float(np.sqrt(max(det_freq * (1 - det_freq), 1e-12) / n))
 
     # step 12: compare M odd bits drawn from a reserved verification stream
-    vrng = np.random.Generator(np.random.Philox(
-        key=np.array([cfg.master_seed, VERIFY_STREAM_KEY], dtype=np.uint64)))
-    test_rounds = sample_test_rounds(vrng, n, cfg.test_bits)
-    tested = np.zeros(n, dtype=np.int64)
-    tested[test_rounds] = 1
-    cols["tested"] = tested
-    mismatch_all = cols["k_alice_odd"] != cols["k_bob_odd"]
-    detected = bool(np.any(mismatch_all[test_rounds]))
-
-    det_freq = float(np.mean(mismatch_all))
-    sigma = float(np.sqrt(max(det_freq * (1 - det_freq), 1e-12) / n))
+    test_rounds = None
+    if cfg.output_path or misses:
+        vrng = np.random.Generator(np.random.Philox(
+            key=np.array([cfg.master_seed, VERIFY_STREAM_KEY], dtype=np.uint64)))
+        test_rounds = sample_test_rounds(vrng, n, cfg.test_bits)
+    detected = bool(misses) and bool(mismatch[code[test_rounds]].any())
 
     eve_acc = i_ae = None
     if eve_key:
-        eve_acc = float(np.mean(cols["eve_bit_alice"] == cols[eve_key]))
+        eve_acc = float(count[table["eve_guess_alice"] == table[eve_key]].sum() / n)
     if eve_key == _HOME_KEY:
-        i_ae = _information(cols[eve_key], cols["eve_bit_alice"])
-    i_ab = _information(cols["k_alice_odd"], cols["k_bob_odd"])
+        i_ae = _counted_information(count, table[eve_key], table["eve_guess_alice"])
+    i_ab = _counted_information(count, table["k_alice_odd"], table["k_bob_odd"])
 
     key_len = 0 if detected else 2 * (n - cfg.test_bits)
     extras = {}
-    if "trace_dist" in cols:
-        extras["trace dist min"] = f"{float(np.min(cols['trace_dist'])):.9f}"
+    if "trace_dist" in table:
+        extras["trace dist min"] = f"{float(np.min(table['trace_dist'][count > 0])):.9f}"
 
     if cfg.output_path:
+        cols = {name: table[name].take(code) for name in CSV_COLUMNS[3:11]}
+        cols["eve_bit_alice"], cols["eve_bit_bob"] = (table[f"eve_guess_{p}"].take(code)
+                                                      for p in ("alice", "bob"))
+        cols["alpha"], cols["beta"] = (np.concatenate(c) for c in zip(*(r[2] for r in results)))
+        cols["round"], cols["tested"] = np.arange(1, n + 1), np.zeros(n, dtype=np.int64)
+        cols["tested"][test_rounds] = 1
         write_csv(cfg.output_path, cols)
 
     return RunReport(

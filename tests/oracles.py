@@ -9,7 +9,10 @@ attack hooks, which share nothing with the batch compile it checks.
 coefficient column, kept to pin the per-branch thresholds and the pruned
 channel-kind terms that replaced it, and ``basis_product`` is
 ``batch._basis``'s earlier full product of phi's five rows, kept to pin the
-basis that forms only the harmonics its columns read.  ``sextet`` is the
+basis that forms only the harmonics its columns read.  ``public_columns``
+and ``report_fields`` are the earlier per-column rules of the public
+columns and of the run statistics, kept to pin the code table and the
+counts that replaced them.  ``sextet`` is the
 repo's one copy of the six ancilla-pair vectors: ``attack_final_state`` and
 ``discriminator_m_up`` are built from it, and acceptance criterion 6 checks
 its subspace structure.
@@ -17,7 +20,7 @@ Register conventions match the package: little-endian, |0> = up.
 """
 import numpy as np
 
-from faraday_qkd import adversary, batch, qstate
+from faraday_qkd import adversary, analysis, batch, qstate
 
 SQ2 = np.sqrt(2.0)
 UP = np.array([1.0, 0.0])
@@ -112,6 +115,59 @@ def step12_ledger(columns, seed, m):
         cells = cells[~check].reshape(-1)
         keys.append(cells[:0] if detected else cells[cells != -1])
     return tested, detected, *keys
+
+
+def public_columns(sc, rec):
+    """The public columns of ``rec``, a kind's records by name (one value per
+    round or per code), by the rules of ``Scenario``: out_c = 2c - 1,
+    out_d = 2d - 1, out_a = 1 - 2a, out_b = 1 - 2b, the odd and even keys
+    c, d, a and b, and Eve's guesses, -1 for a key or guess the kind does
+    not have; ``rec`` itself is kept."""
+    _, _, c, d, a, b = (rec.get(k) for k in sc.roles)
+    none = -np.ones_like(c)
+    eve_a, eve_b = (rec[k] if k else none for k in sc.eve)
+    return {**rec, "out_c": 2 * c - 1, "out_d": 2 * d - 1, "out_a": 1 - 2 * a, "out_b": 1 - 2 * b,
+            "k_alice_odd": c, "k_bob_odd": d,
+            "k_alice_even": a if sc.even_key else none,
+            "k_bob_even": b if sc.even_key else none,
+            "eve_guess_alice": eve_a, "eve_guess_bob": eve_b}
+
+
+def masked_table(x, y):
+    """The 2 x 2 table of the four masked sums sum((x == a) & (y == b))."""
+    return np.array([[np.sum((x == a) & (y == b)) for b in (0, 1)] for a in (0, 1)])
+
+
+def report_fields(cols, eve_key, seed, m):
+    """A run's report statistics from its whole-run columns ``cols``, by the
+    column formulas: the detection frequency, the mean of the odd keys'
+    mismatch, and its sigma; ``detected``, any mismatch over the m rounds
+    drawn from the reserved stream ``Philox(key=(seed, 2**64 - 1))``; Eve's
+    accuracy, the mean of her guess of Alice's key matching ``eve_key``;
+    I(A,B) of the odd keys' and I(A,E) (home-key kinds only) of the masked
+    2 x 2 tables; the final key length; the minimum trace distance."""
+    n = len(cols["k_alice_odd"])
+    mismatch = cols["k_alice_odd"] != cols["k_bob_odd"]
+    freq = float(np.mean(mismatch))
+    tested = keyed_rng(seed, 2 ** 64 - 1).choice(n, m, replace=False)
+    detected = bool(np.any(mismatch[tested]))
+    guess = cols["eve_guess_alice"]
+    out = {
+        "rounds": n,
+        "detection_freq": freq,
+        "detection_sigma": float(np.sqrt(max(freq * (1 - freq), 1e-12) / n)),
+        "detected": detected,
+        "eve_accuracy": float(np.mean(guess == cols[eve_key])) if eve_key else None,
+        "empirical_i_ab": analysis.empirical_mutual_information(
+            masked_table(cols["k_alice_odd"], cols["k_bob_odd"])),
+        "empirical_i_ae": analysis.empirical_mutual_information(
+            masked_table(cols[eve_key], guess)) if eve_key == "k_alice_even" else None,
+        "final_key_length": 0 if detected else 2 * (n - m),
+        "extras": {},
+    }
+    if "trace_dist" in cols:
+        out["extras"]["trace dist min"] = f"{float(np.min(cols['trace_dist'])):.9f}"
+    return out
 
 
 def normalized(v):

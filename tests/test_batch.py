@@ -9,7 +9,8 @@ random angles, its numerators chained from weight 1 against the branch run's
 leaf weights, and its angle averages against closed forms; the cached
 table against a fresh compile, and the cache's key; Eve's POVM against a
 stale ``povm_up`` and the scalar discriminator; the sampler's
-outputs against its own chunk size; and the named wrappers against the
+outputs against its own chunk size; the code table and the sampled columns
+against the public-column rules; and the named wrappers against the
 executor."""
 from dataclasses import replace
 
@@ -18,7 +19,8 @@ import pytest
 
 from faraday_qkd import adversary, analysis, batch, harness, qstate as qs
 
-from oracles import basis_product, carried_weight_sample, full_basis, helstrom_lab
+from oracles import (basis_product, carried_weight_sample, full_basis, helstrom_lab,
+                     public_columns)
 
 
 @pytest.mark.parametrize("kind", [k for k, sc in batch.SCENARIOS.items() if sc.channel is None])
@@ -439,20 +441,37 @@ def _edge_draws(tbl, rows, rng):
     return u, ties, nans
 
 
+def _decoded(tbl, u):
+    """``_sample``'s records of the rows ``u``, decoded from its codes: each
+    angle, 2 pi times its draw; each step's record, the step's bit of the
+    code, the first step's the highest (its complement with ``invert``);
+    and each fixed value, a constant column."""
+    code = batch._sample(tbl, u)
+    assert code.dtype == np.intp and code.shape == (len(u),)
+    rec = {name: 2.0 * np.pi * col for name, col in zip(batch._angles(tbl.sc), u.T)}
+    last = len(tbl.steps) - 1
+    for j, (record, invert, _, _) in enumerate(tbl.steps):
+        if record:
+            rec[record] = ((code >> (last - j)) & 1) ^ invert
+    rec.update((name, np.full(len(u), v)) for name, v in tbl.fixed.items())
+    return rec
+
+
 @pytest.mark.parametrize("kind", _CHANNEL_FREE)
 def test_thresholds_match_the_carried_weight_loop(kind):
     """A kind without a channel operation is sampled from its per-branch
     thresholds byte for byte as the carried-weight loop samples it
     (``oracles.carried_weight_sample``), on random draws and on draws of
     exactly 0.0, 1 - 2**-53, 1.0 and each branch's threshold (``>=`` ties),
-    which reach the 0/0 branches of the kinds that have them."""
+    which reach the 0/0 branches of the kinds that have them; its records
+    are decoded from the codes."""
     tbl = batch._table(batch.SCENARIOS[kind], ())
     rng = np.random.default_rng(len(kind))
     edge, ties, nans = _edge_draws(tbl, 4000, rng)
     assert ties > 0
     assert (nans > 0) == any(np.isnan(cut).any() for cut in tbl.thresholds)
     for u in (edge, rng.random(edge.shape)):
-        got, want = batch._sample(tbl, u), carried_weight_sample(tbl, u)
+        got, want = _decoded(tbl, u), carried_weight_sample(tbl, u)
         assert got.keys() == want.keys()
         for name, col in want.items():
             assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name
@@ -509,7 +528,8 @@ def test_sampler_matches_the_25_column_loop(kind, gamma, cx, cy, tables):
     """A channel kind sampled from its pruned ``terms`` gives, byte for byte
     in every column, what the carried-weight loop gives on all 25
     coefficients of every step (``oracles.carried_weight_sample``), over
-    2 x 10**5 rows from two seeds, in ``CHUNK`` rows a call."""
+    2 x 10**5 rows from two seeds, in ``CHUNK`` rows a call; its records are
+    decoded from the codes."""
     tbl = batch._table(batch.SCENARIOS[kind], _values(_attack(kind, gamma, cx, cy)))
     wide = [len(t) > batch._MATMUL_BRANCHES for t in tbl.terms]
     assert sum(wide) == (3 if kind == "intercept" else 0)
@@ -517,10 +537,71 @@ def test_sampler_matches_the_25_column_loop(kind, gamma, cx, cy, tables):
         u = harness.round_uniforms(seed, 0, 100_000, tbl.sc.draws)
         for lo in range(0, len(u), batch.CHUNK):
             rows = u[lo:lo + batch.CHUNK]
-            got, want = batch._sample(tbl, rows), carried_weight_sample(tbl, rows)
+            got, want = _decoded(tbl, rows), carried_weight_sample(tbl, rows)
             assert got.keys() == want.keys()
             for name, col in want.items():
                 assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", batch.SCENARIOS)
+def test_code_table_follows_the_public_column_rules(kind, tables):
+    """Each kind's code table holds, for every code, the records its bits
+    give (the code written out in binary, one digit per step, copy after
+    copy, the first step's first; a record is its step's digit, its
+    complement with ``invert``, copy i's with the suffix i) with the
+    constant records, and the public columns of those records by
+    ``oracles.public_columns``: the same names, dtypes and bytes."""
+    sc = batch.SCENARIOS[kind]
+    tbl = batch._table(sc, _values(_attack(kind)))
+    s = len(tbl.steps)
+    digits = [f"{code:0{s * sc.copies}b}" for code in range(1 << s * sc.copies)]
+    rec = {}
+    for i in range(sc.copies):
+        tag = str(i) if sc.copies > 1 else ""
+        for j, (record, invert, _, _) in enumerate(tbl.steps):
+            if record:
+                rec[record + tag] = np.array([int(d[i * s + j]) ^ invert for d in digits])
+        rec.update((name + tag, np.full(len(digits), v)) for name, v in tbl.fixed.items())
+    want = public_columns(sc, rec)
+    assert tbl.codes.keys() == want.keys()
+    for name, col in want.items():
+        got = tbl.codes[name]
+        assert got.dtype == col.dtype and got.tobytes() == col.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", batch.SCENARIOS)
+def test_rounds_are_the_public_columns_of_the_sampled_records(kind):
+    """``protocol_rounds`` gives every column of ``oracles.public_columns``
+    of the carried-weight loop's records, copy i's with the suffix i, with
+    the public alpha and beta of the ``roles``: the same names, dtypes and
+    bytes, each column one read of the ``Rounds`` mapping, over more than
+    one ``CHUNK``; its ``code`` holds one integer per round."""
+    sc = batch.SCENARIOS[kind]
+    attack = _attack(kind)
+    u = harness.round_uniforms(53, 0, batch.CHUNK + 9, sc.draws)
+    got = batch.protocol_rounds(u, attack)
+    tbl = batch._table(sc, _values(attack))
+    d, rec = sc.draws // sc.copies, {}
+    for i in range(sc.copies):
+        tag = str(i) if sc.copies > 1 else ""
+        rows = u[:, i * d:(i + 1) * d]
+        rec.update((name + tag, col) for name, col in carried_weight_sample(tbl, rows).items())
+    rec["alpha"], rec["beta"] = rec[sc.roles[0]], rec[sc.roles[1]]
+    want = public_columns(sc, rec)
+    assert got.code.shape == (len(u),) and set(got) == want.keys() and len(got) == len(want)
+    for name, col in want.items():
+        assert name in got and got[name].dtype == col.dtype, name
+        assert got[name].tobytes() == col.tobytes(), name
+    assert "nothing" not in got and got.get("nothing") is None
+
+
+def test_a_measurement_after_a_guess_is_rejected():
+    """A kind whose readout measures after a guess step cannot be compiled:
+    its codes would not give the branch the sampler reads."""
+    sc = batch.SCENARIOS["pns:3"]
+    late = replace(sc, readout=sc.readout[:1] + ((batch._helstrom,), *sc.readout[1:-1]))
+    with pytest.raises(ValueError, match="follows a guess"):
+        batch._compile(late, {})
 
 
 @pytest.fixture
@@ -602,7 +683,8 @@ def test_stale_povm_up_changes_nothing(tables):
 
 
 def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
-    """A cached table keeps no amplitudes and no attack dict, and every
+    """A cached table keeps no amplitudes and no attack dict, every code
+    table column is read-only and holds one value per code, and every
     numerator array is read-only and (branches, 25) with a channel, (branches,
     1) without; a kind without a channel also holds one read-only
     (branches,) threshold array per step and no pruned terms, and a kind with
@@ -612,6 +694,10 @@ def test_cached_tables_are_read_only_without_amplitudes(tables, monkeypatch):
     assert tables.cache_info().currsize == len(batch.SCENARIOS)
     for tbl in got:
         assert tbl.amps is None and tbl.attack is None
+        for col in tbl.codes.values():
+            assert not col.flags.writeable and col.shape == (1 << len(tbl.steps) * tbl.sc.copies,)
+            with pytest.raises(ValueError):
+                col[0] = 0
         terms = 25 if tbl.sc.channel else 1
         for *_, num in tbl.steps:
             assert not num.flags.writeable and num.shape[1:] == (terms,)

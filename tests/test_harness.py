@@ -30,7 +30,7 @@ from faraday_qkd import (
 )
 from faraday_qkd.harness import CliError, round_uniforms, write_csv
 
-from oracles import keyed_rng, percent_csv, read_csv
+from oracles import keyed_rng, masked_table, percent_csv, read_csv, report_fields
 
 
 class TestAttackParsing:
@@ -454,21 +454,102 @@ def test_harness_reads_attack_kinds_from_the_scenario_table():
 
 @pytest.mark.parametrize("columns", ["random", "correlated", (0, 0), (0, 1), (1, 0), (1, 1)])
 def test_information_counts_the_four_sum_table(columns, monkeypatch):
-    """``_information`` hands ``empirical_mutual_information`` the 2 x 2 table
-    of the four masked sums, sum((x == a) & (y == b)), and returns its value,
-    on random, correlated and constant 0/1 columns."""
+    """``_counted_information`` hands ``empirical_mutual_information`` the
+    2 x 2 table of the four masked sums, sum((x == a) & (y == b)), over the
+    rounds, and returns its value, on random, correlated and constant 0/1
+    columns: code-table columns x and y of 5,000 codes, each drawn by one
+    round, and of 300 codes that 5,000 rounds drew at random."""
     rng = np.random.default_rng(9)
     x, y = rng.integers(0, 2, (2, 5000))
     if columns == "correlated":
         y = x ^ (rng.random(5000) < 0.1)
     elif columns != "random":
         x[:], y[:] = columns
-    want = np.array([[np.sum((x == a) & (y == b)) for b in (0, 1)] for a in (0, 1)])
     info, seen = harness.analysis.empirical_mutual_information, []
     monkeypatch.setattr(harness.analysis, "empirical_mutual_information",
                         lambda table: seen.append(table) or info(table))
-    assert harness._information(x, y) == info(want)
-    assert len(seen) == 1 and np.array_equal(seen[0], want)
+    for code in (np.arange(5000), rng.integers(0, 300, 5000)):
+        count = np.bincount(code, minlength=5000)
+        want = masked_table(x[code], y[code])
+        assert harness._counted_information(count, x, y) == info(want)
+        assert len(seen) == 1 and np.array_equal(seen.pop(), want)
+
+
+def _report_fields(rep):
+    """A report's fields, without its configuration and wall time."""
+    return {name: getattr(rep, name) for name in harness.RunReport.__dataclass_fields__
+            if name not in ("config", "wall_time_s")}
+
+
+@pytest.mark.parametrize("kind", list(batch.SCENARIOS))
+def test_report_equals_the_column_formulas(kind):
+    """Every report field of a run, taken from the counts of its round codes,
+    equals bit for bit ``oracles.report_fields`` of its whole-run columns,
+    for every kind, on three seeds, one run of more than one chunk, and
+    with M = 0, a few test bits and M = n."""
+    sc = batch.SCENARIOS[kind]
+    attack = AttackChoice(kind, 0.45, 0.7, 0.3)
+    params = {"kind": kind, "gamma": 0.3, "cx": 0.45, "cy": 0.7}
+    for seed, n in ((11, 300), (12, 301), (13, harness.CHUNK_ROUNDS + 7)):
+        cols = batch.protocol_rounds(round_uniforms(seed, 0, n, sc.draws), params)
+        for m in (0, 3, n):
+            rep = run_experiment(ExperimentConfig(rounds=n, test_bits=m, master_seed=seed,
+                                                  attack=attack))
+            want = report_fields(cols, sc.eve_key, seed, m)
+            got = _report_fields(rep)
+            assert got.keys() == want.keys()
+            for name, value in want.items():
+                assert repr(got[name]) == repr(value), (seed, m, name)
+
+
+@pytest.mark.parametrize("kind, out", [("none", False), ("none", True), ("pns:3", False),
+                                       ("intercept", False), ("general", False),
+                                       ("impersonate:two", True)])
+def test_run_reads_each_chunk_once_and_draws_tests_only_when_read(kind, out, tmp_path,
+                                                                  monkeypatch):
+    """``run_experiment`` calls ``batch.protocol_rounds`` once per chunk, and
+    ``sample_test_rounds`` once if the CSV is written or some round's odd
+    keys differ, and never otherwise: without a mismatch no test round can
+    detect."""
+    calls = {"rounds": 0, "tests": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(batch, "protocol_rounds", counted("rounds", batch.protocol_rounds))
+    monkeypatch.setattr(harness, "sample_test_rounds", counted("tests", harness.sample_test_rounds))
+    rep = run_experiment(ExperimentConfig(
+        rounds=2 * harness.CHUNK_ROUNDS + 5, test_bits=50, master_seed=19,
+        attack=AttackChoice(kind, 0.5, 0.5, 0.3),
+        output_path=str(tmp_path / "run.csv") if out else None))
+    assert calls["rounds"] == 3
+    assert calls["tests"] == int(out or rep.detection_freq > 0)
+    assert (rep.detection_freq > 0) == (kind not in ("none", "pns:3"))
+
+
+@pytest.mark.parametrize("kind", list(batch.SCENARIOS))
+def test_run_memory_grows_by_at_most_32_bytes_a_round(kind):
+    """Without ``--out`` a run keeps no whole-run column but its round codes:
+    its tracemalloc peak grows by at most 32 B per round from 4 to 16 x
+    ``CHUNK_ROUNDS`` rounds, with a tenth of the rounds tested."""
+    attack = AttackChoice(kind, 0.5, 0.5, 0.3)
+
+    def peak(rounds):
+        cfg = ExperimentConfig(rounds=rounds, test_bits=rounds // 10, master_seed=23,
+                               attack=attack)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_experiment(ExperimentConfig(rounds=10, test_bits=1, master_seed=23, attack=attack))
+    small, large = (peak(k * harness.CHUNK_ROUNDS) for k in (4, 16))
+    assert (large - small) / (12 * harness.CHUNK_ROUNDS) <= 32
 
 
 def test_executor_rejects_wrong_draw_count():
