@@ -544,16 +544,22 @@ def _sample(tbl, u):
 
 class Rounds(Mapping):
     """The read-only columns of rounds, from each round's ``code`` and the
-    code ``table``: an angle is 2 pi times its draw, any other column a take
-    of the table's, formed each time it is read."""
+    compiled spec ``tree`` (``_table``), whose ``codes`` are the code
+    ``table``: an angle is 2 pi times its draw, any other column a take of
+    the table's, formed on its first read and kept."""
 
-    def __init__(self, code, table, draws):
-        self.code, self.table, self._draws = code, table, draws
+    def __init__(self, code, tree, draws):
+        self.code, self.tree, self.table, self._draws = code, tree, tree.codes, draws
+        self._cols = {}
 
     def __getitem__(self, name):
-        if name in self._draws:
-            return 2.0 * np.pi * self._draws[name]
-        return self.table[name].take(self.code)
+        col = self._cols.get(name)
+        if col is None:
+            col = (2.0 * np.pi * self._draws[name] if name in self._draws
+                   else self.table[name].take(self.code))
+            col.flags.writeable = False
+            self._cols[name] = col
+        return col
 
     def __iter__(self):
         return iter([*self._draws, *self.table])
@@ -590,7 +596,7 @@ def protocol_rounds(u, attack=None):
         tag = str(i) if sc.copies > 1 else ""
         draws.update((name + tag, rows[:, j]) for j, name in enumerate(_angles(sc)))
     draws["alpha"], draws["beta"] = draws[sc.roles[0]], draws[sc.roles[1]]
-    return Rounds(code, tbl.codes, draws)
+    return Rounds(code, tbl, draws)
 
 
 # kept only because perfbench/spans.py wraps them by name

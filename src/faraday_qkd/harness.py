@@ -19,11 +19,14 @@ CSV format: header row, comma delimiter, LF line endings; float cells are
 byte for byte ``%.11e`` and integer cells ``%d`` (re-parsing a file and
 re-writing it is byte-stable).  ``write_csv`` formats CHUNK_ROUNDS (8,192)
 rows at a time as one ASCII byte matrix built with numpy, so its memory is
-bounded by that block: an integer column spanning at most 256 values is
-gathered from a per-block table of their text, other digits four at a time as
-words of a ``%04d`` table, and every cell column is copied into the block as
-8-, 4-, 2- and 1-byte word columns.  The tier-1 tests check its bytes against
-a '%' row writer.
+bounded by that block: a template row of the commas and the LF copied to
+every row, then each cell column copied into its slot as void items.
+Integer digits are taken four at a time as words of a ``%04d`` table, and a
+float's digits and exponent are written straight into its slot.  ``--out``
+runs draw the tested set first and write each chunk's rows as the chunk
+arrives; the eleven columns a round's code and tested bit fix are one
+gather from a per-spec table of their text (``_row_text``).  The tier-1
+tests check the bytes against a '%' row writer.
 """
 from __future__ import annotations
 
@@ -32,8 +35,10 @@ import contextlib
 import os
 import sys
 import time
+from collections.abc import Mapping
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -229,23 +234,40 @@ def round_uniforms(master_seed: int, start: int, count: int, draws: int) -> np.n
 
 
 def _run_chunk(args):
-    """A chunk's round codes and code table, and its angles for the CSV."""
-    params, master_seed, start, count, csv = args
+    """A chunk's round codes and code table, and with ``tested`` (the tested
+    rounds among its own) its CSV rows: the round, the angles, and the text
+    that each round's code and tested bit fix (``_row_text``)."""
+    params, master_seed, start, count, tested = args
     u = round_uniforms(master_seed, start, count, batch.SCENARIOS[params["kind"]].draws)
     rounds = batch.protocol_rounds(u, params)
-    return rounds.code, rounds.table, [rounds["alpha"], rounds["beta"]] if csv else None
+    rows = None
+    if tested is not None:
+        text = _row_text(rounds.tree)
+        key = rounds.code.copy()
+        key[tested - start] += len(text) // 2
+        rows = _csv_block([np.arange(start + 1, start + count + 1), rounds["alpha"],
+                           rounds["beta"], text.take(key)])
+    return rounds.code, rounds.table, rows
 
 
 # ASCII ``%04d`` of 0..9999 as uint32 words (the digits of i are the indices
-# of cell i of a 10 x 10 x 10 x 10 grid), and ``e%+03d`` of -11..11; NUL marks
+# of cell i of a 10 x 10 x 10 x 10 grid), the same four digits as 5-byte
+# ``d.ddd`` items (a float cell's head), and ``e%+03d`` of -11..11; NUL marks
 # a cell position to drop
 _WORDS = np.ascontiguousarray((np.indices((10,) * 4, dtype=np.uint8) + ord("0"))
                               .reshape(4, -1).T).view(np.uint32).ravel()
+_HEADS = np.insert(_WORDS.view(np.uint8).reshape(-1, 4), 1, ord("."), axis=1).view("V5").ravel()
 _EXP_WORDS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-11, 12)), dtype=np.uint32)
 # exact doubles 10**0 .. 10**22, and the uint64 powers 10**0 .. 10**19
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _POW10_INT = np.array([10 ** k for k in range(20)], dtype=np.uint64)
-_WORDS.flags.writeable = _POW10.flags.writeable = _POW10_INT.flags.writeable = False
+_WORDS.flags.writeable = _HEADS.flags.writeable = False
+_POW10.flags.writeable = _POW10_INT.flags.writeable = False
+
+
+def _text(items: np.ndarray) -> np.ndarray:
+    """A 1-D array of text items as a (rows, itemsize) uint8 matrix."""
+    return items.view(np.uint8).reshape(len(items), items.itemsize)
 
 
 def _digits(mag: np.ndarray, width: int) -> np.ndarray:
@@ -253,48 +275,43 @@ def _digits(mag: np.ndarray, width: int) -> np.ndarray:
     a time: one ``take`` of ``_WORDS`` words on an intp index, viewed as bytes."""
     groups = []
     for _ in range((width - 1) // 4):
-        mag, low = np.divmod(mag, 10000)
-        groups.append(low)
+        high = mag // 10000
+        groups.append(mag - high * 10000)
+        mag = high
     idx = np.stack([mag, *groups[::-1]], axis=1, dtype=np.intp)
     return _WORDS.take(idx).view(np.uint8)[:, -width:]
 
 
 def _put(out: np.ndarray, pos: int, cells: np.ndarray):
-    """``out[:, pos:pos + width] = cells`` for uint8 matrices, as 1-D copies of
-    8-, 4-, 2- and 1-byte word columns: numpy copies a 2-D slice row by row."""
-    done, width = 0, cells.shape[1]
-    while done < width:
-        size = min(8, 1 << ((width - done).bit_length() - 1))
-        word = np.dtype(f"u{size}")
-        out[:, pos + done:pos + done + size].view(word)[:, 0] = \
-            cells[:, done:done + size].view(word)[:, 0]
-        done += size
+    """``out[:, pos:pos + width] = cells`` for uint8 matrices whose rows are
+    contiguous, as one copy of width-byte void items: numpy copies a 2-D
+    slice row by row."""
+    item = f"V{cells.shape[1]}"
+    out[:, pos:pos + cells.shape[1]].view(item)[:, 0] = cells.view(item)[:, 0]
 
 
 def _int_cells(x: np.ndarray) -> np.ndarray:
-    """``%d`` of each value as a NUL-padded (rows, width) ASCII matrix: a column
-    spanning at most 256 integers is gathered from the text of min..max by
-    ``x - lo`` (exact in x's type; int64 for bool), a wider one from digits."""
-    lo, hi = int(x.min()), int(x.max())
-    if hi - lo < 256:
-        table = np.array([b"%d" % v for v in range(lo, hi + 1)])
-        return table.view(np.uint8).reshape(len(table), -1).take(x - lo, axis=0)
+    """``%d`` of each value as a NUL-padded (rows, width) ASCII matrix, from
+    the digits of its magnitude (exact in uint64; int64 for bool)."""
     neg = x < 0
     mag = x.astype(np.uint64)
     np.negative(mag, out=mag, where=neg)  # two's complement: |-2**63| fits
     width = len(str(mag.max()))
     cells = _digits(mag, width)
-    if mag.min() < _POW10_INT[width - 1]:
-        # row l of the triangle keeps bytes l.. of a cell with width - l digits (0 has one)
-        digits = np.maximum(np.searchsorted(_POW10_INT, mag, side="right"), 1)
-        cells *= np.triu(np.ones((width, width), dtype=np.uint8)).take(width - digits, axis=0)
+    # byte l of a cell is a leading zero, made NUL, below 10**(width - 1 - l)
+    low = int(mag.min())
+    for l, power in enumerate(_POW10_INT[width - 1:0:-1].tolist()):
+        if low < power:
+            cells[:, l] *= (mag >= power).view(np.uint8)
     if neg.any():
         cells = np.hstack([np.where(neg, ord("-"), 0).astype(np.uint8)[:, None], cells])
     return cells
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``%.11e`` of each value as a NUL-padded (rows, width) ASCII matrix.
+def _float_cells(x: np.ndarray):
+    """``%.11e`` of each value as (width, pieces, fix): the 17-byte cell as
+    the pieces ``d.ddd``, ``dddd``, ``dddd`` and ``e+dd`` at their offsets,
+    and the rows that '%' formats, with their NUL-padded text.
 
     For 1e-11 <= x < 1e12, e = floor(log10 x) and m = x * 10**(11 - e) takes
     one rounding (10**(11 - e) is an exact double), so m is within 6.1e-5 of
@@ -302,55 +319,97 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     digits unless m sits within 1e-3 of a tie.  Such near-ties, values whose
     m or rint(m) leaves [1e11, 1e12) (log10 missed e by one, or the digits
     round up to 10**12), and 0, negatives, nan and inf go through '%' cell
-    by cell.
+    by cell.  The 12 digits split in int64, exactly, as they are below 10**12.
     """
     x = x.astype(np.float64, copy=False)
-    pos = x > 0
-    e = np.floor(np.log10(np.where(pos, x, 1.0)))
-    ok = pos & (e >= -11) & (e <= 11)
-    e = np.where(ok, e, 0).astype(np.int64)
-    m = np.where(ok, x, 1.0) * _POW10[11 - e]
-    r = np.rint(m)
-    ok &= (np.abs(m - np.floor(m) - 0.5) > 1e-3) & (m >= 1e11) & (r < 1e12)
+    with np.errstate(all="ignore"):     # 0, negatives, nan and inf leave e nan or inf
+        e = np.floor(np.log10(x))
+        ok = (e >= -11) & (e <= 11)
+        e = e.astype(np.int64)
+        m = x * _POW10.take(11 - e, mode="clip")
+        r = np.rint(m)
+        ok &= (np.abs(m - np.floor(m) - 0.5) > 1e-3) & (m >= 1e11) & (r < 1e12)
     slow = np.flatnonzero(~ok)
     text = [b"%.11e" % v for v in x[slow].tolist()]
-    cells = np.zeros((len(x), max([17, *map(len, text)])), dtype=np.uint8)
-    digits = _digits(np.where(ok, r, 1e11).astype(np.uint64), 12)
-    cells[:, 0] = digits[:, 0]
-    cells[:, 1] = ord(".")
-    _put(cells, 2, digits[:, 1:])
-    _put(cells, 13, _EXP_WORDS.take(e + 11).view(np.uint8).reshape(-1, 4))
-    if text:
-        cells[slow] = np.frombuffer(b"".join(t.ljust(cells.shape[1], b"\0") for t in text),
-                                    dtype=np.uint8).reshape(len(text), -1)
-    return cells
+    width = max([17, *map(len, text)])
+    r[slow] = 1e11
+    low = r.astype(np.int64)
+    head = low // 10 ** 8
+    low -= head * 10 ** 8
+    mid = low // 10 ** 4
+    low -= mid * 10 ** 4
+    pieces = [(0, _text(_HEADS.take(head))), (5, _text(_WORDS.take(mid))),
+              (9, _text(_WORDS.take(low))), (13, _text(_EXP_WORDS.take(e + 11, mode="clip")))]
+    fix = (slow, np.frombuffer(b"".join(t.ljust(width, b"\0") for t in text),
+                               dtype=np.uint8).reshape(len(text), width)) if text else None
+    return width, pieces, fix
+
+
+def _cells(col: np.ndarray):
+    """A column's cells as (width, pieces, fix): each piece (offset, matrix)
+    the text of every cell from that offset, and fix None or (rows, matrix),
+    whole cells that replace those rows'.  A void column is its cells' text."""
+    if col.dtype.kind == "f":
+        return _float_cells(col)
+    cells = _text(col) if col.dtype.kind == "V" else _int_cells(col)
+    return cells.shape[1], [(0, cells)], None
 
 
 def _csv_block(cols) -> bytes:
-    """CSV rows of equal-length columns: one ASCII matrix, NULs dropped."""
-    cells = [_float_cells(c) if c.dtype.kind == "f" else _int_cells(c) for c in cols]
-    out = np.full((len(cols[0]), sum(c.shape[1] + 1 for c in cells)), ord(","), dtype=np.uint8)
+    """CSV rows of equal-length columns: a template row of the commas and the
+    LF copied to every row as one void item, then each piece of each cell
+    column copied into its slot (``_put``), NULs dropped."""
+    cells = [_cells(c) for c in cols]
+    ends = np.cumsum([w + 1 for w, _, _ in cells])
+    row = np.zeros(ends[-1], dtype=np.uint8)
+    row[ends - 1] = ord(",")
+    row[-1] = ord("\n")
+    out = np.empty((len(cols[0]), len(row)), dtype=np.uint8)
+    out.view(f"V{len(row)}")[:, 0] = row.view(f"V{len(row)}")[0]
     pos = 0
-    for c in cells:
-        _put(out, pos, c)
-        pos += c.shape[1] + 1
-    out[:, -1] = ord("\n")
+    for width, pieces, fix in cells:
+        for off, piece in pieces:
+            _put(out, pos + off, piece)
+        if fix is not None:
+            out[fix[0], pos:pos + width] = fix[1]
+        pos += width + 1
     return out.tobytes().replace(b"\0", b"")
 
 
-def write_csv(path: str, columns: dict, order=CSV_COLUMNS):
+@lru_cache(maxsize=16)
+def _row_text(tree) -> np.ndarray:
+    """The CSV text that a round's code and tested bit fix, ``out_c`` through
+    ``eve_bit_bob`` less the LF, for the compiled spec ``tree`` of
+    ``batch._table``: item code + K tested of a read-only NUL-padded void
+    array, K the codes; built by ``_csv_block`` once per compiled spec."""
+    codes = tree.codes
+    k = len(codes["out_c"])
+    cols = [np.tile(codes[name], 2) for name in CSV_COLUMNS[3:11]]
+    cols += [np.repeat([0, 1], k), *(np.tile(codes[f"eve_guess_{p}"], 2) for p in ("alice", "bob"))]
+    text = np.array(_csv_block(cols).split(b"\n")[:-1])
+    text = text.view(f"V{text.itemsize}")
+    text.flags.writeable = False
+    return text
+
+
+def write_csv(path: str, columns, order=CSV_COLUMNS):
     """Write CSV to a sibling temp file renamed onto path: never a partial file.
 
-    Cells are byte for byte ``%.11e`` (float columns) and ``%d`` (others),
-    formatted CHUNK_ROUNDS rows at a time.
+    ``columns`` maps each name in ``order`` to a column, whose cells are byte
+    for byte ``%.11e`` (float columns) and ``%d`` (others), formatted
+    CHUNK_ROUNDS rows at a time; or it is an iterable of blocks of ready
+    rows, each written as it arrives.
     """
-    cols = [np.asarray(columns[name]) for name in order]
+    if isinstance(columns, Mapping):
+        cols = [np.asarray(columns[name]) for name in order]
+        columns = (_csv_block([c[lo:lo + CHUNK_ROUNDS] for c in cols])
+                   for lo in range(0, len(cols[0]), CHUNK_ROUNDS))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write((",".join(order) + "\n").encode())
-            for lo in range(0, len(cols[0]), CHUNK_ROUNDS):
-                fh.write(_csv_block([c[lo:lo + CHUNK_ROUNDS] for c in cols]))
+            for block in columns:
+                fh.write(block)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -368,29 +427,55 @@ def _counted_information(count, x, y) -> float:
     return analysis.empirical_mutual_information(table)
 
 
+def _blocks(results, kept):
+    """Each chunk's CSV rows, as the chunk arrives; its codes and code table
+    go to ``kept``."""
+    for code, table, rows in results:
+        kept.append((code, table))
+        yield rows
+
+
+def _test_rounds(cfg: ExperimentConfig) -> np.ndarray:
+    """Step 12's M tested rounds, sorted, from the reserved verification stream."""
+    vrng = np.random.Generator(np.random.Philox(
+        key=np.array([cfg.master_seed, VERIFY_STREAM_KEY], dtype=np.uint64)))
+    return sample_test_rounds(vrng, cfg.rounds, cfg.test_bits)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run N protocol rounds under the configured attack, verify M test bits,
     aggregate the report, and (optionally) write per-round CSV.  Statistics
-    count the round codes against the code table; the tested set is drawn
-    only for the CSV or when some odd keys differ, as none can detect else."""
+    count the round codes against the code table.  For the CSV the tested
+    set is drawn first and each chunk's rows are written as they arrive;
+    without it, the set is drawn only when some odd keys differ, as none can
+    detect else.  A run keeps its round codes and no other whole-run column."""
     t0 = time.perf_counter()
     n = cfg.rounds
     attack = cfg.attack
     eve_key = batch.SCENARIOS[attack.kind].eve_key
     params = {"kind": attack.kind, "gamma": attack.gamma, "cx": attack.c_x, "cy": attack.c_y}
-    chunks = [(params, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo), bool(cfg.output_path))
-              for lo in range(0, n, CHUNK_ROUNDS)]
+    starts = range(0, n, CHUNK_ROUNDS)
+    tested, test_rounds = [None] * len(starts), None
+    if cfg.output_path:
+        test_rounds = _test_rounds(cfg)
+        cuts = np.searchsorted(test_rounds, [*starts, n])
+        tested = [test_rounds[i:j] for i, j in zip(cuts, cuts[1:])]
+    chunks = [(params, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo), t)
+              for lo, t in zip(starts, tested)]
     # the fork start method launches every worker up front
     workers = min(cfg.workers, len(chunks))
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, chunks))
-    else:
-        results = [_run_chunk(c) for c in chunks]
-    table = results[0][1]
-    code = np.concatenate([r[0] for r in results])
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        results = pool.map(_run_chunk, chunks) if pool else map(_run_chunk, chunks)
+        if cfg.output_path:
+            kept = []
+            write_csv(cfg.output_path, _blocks(results, kept))
+        else:
+            kept = list(results)
+    table = kept[0][1]
+    code = np.concatenate([r[0] for r in kept])
     count = np.bincount(code, minlength=len(table["k_alice_odd"]))
 
     mismatch = table["k_alice_odd"] != table["k_bob_odd"]
@@ -399,11 +484,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     sigma = float(np.sqrt(max(det_freq * (1 - det_freq), 1e-12) / n))
 
     # step 12: compare M odd bits drawn from a reserved verification stream
-    test_rounds = None
-    if cfg.output_path or misses:
-        vrng = np.random.Generator(np.random.Philox(
-            key=np.array([cfg.master_seed, VERIFY_STREAM_KEY], dtype=np.uint64)))
-        test_rounds = sample_test_rounds(vrng, n, cfg.test_bits)
+    if misses and test_rounds is None:
+        test_rounds = _test_rounds(cfg)
     detected = bool(misses) and bool(mismatch[code[test_rounds]].any())
 
     eve_acc = i_ae = None
@@ -417,15 +499,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     extras = {}
     if "trace_dist" in table:
         extras["trace dist min"] = f"{float(np.min(table['trace_dist'][count > 0])):.9f}"
-
-    if cfg.output_path:
-        cols = {name: table[name].take(code) for name in CSV_COLUMNS[3:11]}
-        cols["eve_bit_alice"], cols["eve_bit_bob"] = (table[f"eve_guess_{p}"].take(code)
-                                                      for p in ("alice", "bob"))
-        cols["alpha"], cols["beta"] = (np.concatenate(c) for c in zip(*(r[2] for r in results)))
-        cols["round"], cols["tested"] = np.arange(1, n + 1), np.zeros(n, dtype=np.int64)
-        cols["tested"][test_rounds] = 1
-        write_csv(cfg.output_path, cols)
 
     return RunReport(
         config=cfg,

@@ -758,3 +758,14 @@ def test_wrappers_match_protocol_rounds(kind, variant):
     assert got.keys() == want.keys()
     for name, col in want.items():
         assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["alpha", "out_c", "k_alice_odd"])
+def test_rounds_form_each_column_once(name):
+    """A ``Rounds`` column is formed on its first read and kept: a second
+    read returns the same read-only array."""
+    rounds = batch.protocol_rounds(harness.round_uniforms(7, 0, 50, 6))
+    first = rounds[name]
+    assert rounds[name] is first and not first.flags.writeable
+    with pytest.raises(KeyError):
+        rounds["nothing"]

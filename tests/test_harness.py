@@ -30,7 +30,8 @@ from faraday_qkd import (
 )
 from faraday_qkd.harness import CliError, round_uniforms, write_csv
 
-from oracles import keyed_rng, masked_table, percent_csv, read_csv, report_fields
+from oracles import (keyed_rng, masked_table, percent_csv, public_columns, read_csv,
+                     report_fields)
 
 
 class TestAttackParsing:
@@ -354,6 +355,8 @@ class TestCsv:
 class TestCsvWords:
     def test_word_tables_hold_their_text(self):
         assert harness._WORDS.tobytes() == b"".join(b"%04d" % i for i in range(10000))
+        assert harness._HEADS.tobytes() == b"".join(b"%d.%03d" % divmod(i, 1000)
+                                                    for i in range(10000))
         assert harness._EXP_WORDS.tobytes() == b"".join(b"e%+03d" % k for k in range(-11, 12))
 
     # the number of four-digit groups changes at widths 5, 9, 13 and 17
@@ -366,7 +369,7 @@ class TestCsvWords:
         assert got.shape == (len(mag), width)
         assert got.tobytes() == b"".join(b"%0*d" % (width, v) for v in mag.tolist())
 
-    # a row of odd width, so every 8-, 4-, 2- and 1-byte word column is unaligned
+    # a row of odd width, so the copied void items are unaligned
     @pytest.mark.parametrize("width", range(1, 25))
     def test_put_matches_slice_assignment(self, width):
         rng = np.random.default_rng(width)
@@ -383,7 +386,7 @@ class TestCsvWords:
         harness._put(out, 5, wide[:, 3:])
         assert np.array_equal(out[:, 5:], wide[:, 3:]) and not out[:, :5].any()
 
-    @pytest.mark.parametrize("name", ["_WORDS", "_EXP_WORDS", "_POW10", "_POW10_INT"])
+    @pytest.mark.parametrize("name", ["_WORDS", "_HEADS", "_EXP_WORDS", "_POW10", "_POW10_INT"])
     def test_tables_are_read_only(self, name):
         table = getattr(harness, name)
         before = table.tobytes()
@@ -530,16 +533,15 @@ def test_run_reads_each_chunk_once_and_draws_tests_only_when_read(kind, out, tmp
     assert (rep.detection_freq > 0) == (kind not in ("none", "pns:3"))
 
 
-@pytest.mark.parametrize("kind", list(batch.SCENARIOS))
-def test_run_memory_grows_by_at_most_32_bytes_a_round(kind):
-    """Without ``--out`` a run keeps no whole-run column but its round codes:
-    its tracemalloc peak grows by at most 32 B per round from 4 to 16 x
-    ``CHUNK_ROUNDS`` rounds, with a tenth of the rounds tested."""
+def _growth_per_round(kind, out=None):
+    """The growth of a run's tracemalloc peak per round from 4 to 16 x
+    ``CHUNK_ROUNDS`` rounds, with a tenth of the rounds tested, and the CSV
+    written to ``out`` if given."""
     attack = AttackChoice(kind, 0.5, 0.5, 0.3)
 
     def peak(rounds):
         cfg = ExperimentConfig(rounds=rounds, test_bits=rounds // 10, master_seed=23,
-                               attack=attack)
+                               attack=attack, output_path=out)
         tracemalloc.start()
         try:
             run_experiment(cfg)
@@ -547,9 +549,106 @@ def test_run_memory_grows_by_at_most_32_bytes_a_round(kind):
         finally:
             tracemalloc.stop()
 
-    run_experiment(ExperimentConfig(rounds=10, test_bits=1, master_seed=23, attack=attack))
+    run_experiment(ExperimentConfig(rounds=10, test_bits=1, master_seed=23, attack=attack,
+                                    output_path=out))
     small, large = (peak(k * harness.CHUNK_ROUNDS) for k in (4, 16))
-    assert (large - small) / (12 * harness.CHUNK_ROUNDS) <= 32
+    return (large - small) / (12 * harness.CHUNK_ROUNDS)
+
+
+@pytest.mark.parametrize("kind", list(batch.SCENARIOS))
+def test_run_memory_grows_by_at_most_32_bytes_a_round(kind):
+    """Without ``--out`` a run keeps no whole-run column but its round codes:
+    its tracemalloc peak grows by at most 32 B per round from 4 to 16 x
+    ``CHUNK_ROUNDS`` rounds, with a tenth of the rounds tested."""
+    assert _growth_per_round(kind) <= 32
+
+
+@pytest.mark.parametrize("kind", list(batch.SCENARIOS))
+def test_run_with_out_memory_grows_by_at_most_32_bytes_a_round(kind, tmp_path):
+    """With ``--out`` a run keeps its round codes and the tested set, and
+    writes each chunk's rows as the chunk arrives: its peak grows as
+    without it, by at most 32 B per round."""
+    assert _growth_per_round(kind, str(tmp_path / "run.csv")) <= 32
+
+
+def _whole_run_csv(kind, params, seed, n, m):
+    """``oracles.percent_csv`` of a run's whole-run columns: every public
+    column of one ``protocol_rounds`` call on all n rounds, and tested the
+    m rounds drawn from the reserved stream ``Philox(key=(seed, 2**64 - 1))``."""
+    rounds = batch.protocol_rounds(round_uniforms(seed, 0, n, batch.SCENARIOS[kind].draws),
+                                   params)
+    cols = {name: rounds[name] for name in harness.CSV_COLUMNS[1:11]}
+    cols["round"], cols["tested"] = np.arange(1, n + 1), np.zeros(n, dtype=np.int64)
+    cols["tested"][keyed_rng(seed, 2 ** 64 - 1).choice(n, m, replace=False)] = 1
+    cols["eve_bit_alice"], cols["eve_bit_bob"] = rounds["eve_guess_alice"], rounds["eve_guess_bob"]
+    return percent_csv(cols, harness.CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("kind", list(batch.SCENARIOS))
+def test_out_bytes_equal_percent_oracle_across_chunks(kind, tmp_path):
+    """``simulate --out``, whose chunks write their rows as they arrive,
+    gives the bytes of ``oracles.percent_csv`` of the whole-run columns for
+    every kind, one round short of a chunk, one past it and five past two,
+    with M = 0, 1 and n."""
+    attack = AttackChoice(kind, 0.45, 0.7, 0.3)
+    params = {"kind": kind, "gamma": 0.3, "cx": 0.45, "cy": 0.7}
+    path = tmp_path / "run.csv"
+    for seed, n in ((41, harness.CHUNK_ROUNDS - 1), (42, harness.CHUNK_ROUNDS + 1),
+                    (43, 2 * harness.CHUNK_ROUNDS + 5)):
+        for m in (0, 1, n):
+            run_experiment(ExperimentConfig(rounds=n, test_bits=m, master_seed=seed,
+                                            attack=attack, output_path=str(path)))
+            assert path.read_bytes() == _whole_run_csv(kind, params, seed, n, m), (n, m)
+
+
+@pytest.mark.parametrize("kind", list(batch.SCENARIOS))
+def test_row_text_is_the_percent_text_of_the_public_columns(kind):
+    """``_row_text`` of a compiled spec holds, at item code + K tested, the
+    ``%d`` text of ``oracles.public_columns`` of the code's records from
+    ``out_c`` through ``eve_bit_bob``, tested between them, NUL-padded at
+    its end; it is read-only and built once per compiled spec."""
+    sc = batch.SCENARIOS[kind]
+    params = {"kind": kind, "gamma": 0.3, "cx": 0.45, "cy": 0.7}
+    tree = batch.protocol_rounds(round_uniforms(3, 0, 4, sc.draws), params).tree
+    text = harness._row_text(tree)
+    want = public_columns(sc, dict(tree.codes))
+    k = len(want["out_c"])
+    assert text.shape == (2 * k,) and not text.flags.writeable
+    for tested in (0, 1):
+        for code in range(k):
+            cells = [want[name][code] for name in harness.CSV_COLUMNS[3:11]]
+            cells += [tested, want["eve_guess_alice"][code], want["eve_guess_bob"][code]]
+            item = text[code + k * tested].tobytes()
+            assert item.rstrip(b"\0") == ",".join("%d" % c for c in cells).encode()
+            assert b"\0" not in item.rstrip(b"\0")
+    with pytest.raises(ValueError, match="read-only"):
+        text[0] = text[1]
+    assert harness._row_text(tree) is text
+
+
+def test_two_workers_write_the_bytes_of_one(tmp_path, monkeypatch):
+    """A real two-process pool, whose chunks the run reads lazily as it
+    writes them, gives the CSV and report bytes of one worker on a
+    three-chunk run."""
+    made = []
+
+    class Pool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    out = []
+    for workers in (1, 2):
+        path = tmp_path / f"workers-{workers}.csv"
+        rep = run_experiment(ExperimentConfig(
+            rounds=2 * harness.CHUNK_ROUNDS + 5, test_bits=40, master_seed=31,
+            attack=AttackChoice("intercept", gamma=0.3), output_path=str(path), workers=workers))
+        out.append((path.read_bytes(), [line for line in rep.to_text().splitlines()
+                                        if not line.startswith("wall time")]))
+    assert made == [2]
+    assert out[0] == out[1]
 
 
 def test_executor_rejects_wrong_draw_count():
