@@ -5,6 +5,7 @@ The top level re-exports only the names below; everything else is imported
 from its module (``from faraday_qkd import batch``)."""
 
 from .qstate import EquatorAngle
+from .batch import make_ancilla_pair
 from .adversary import (
     EveDiscriminator,
     GeneralAttackSpec,
@@ -12,7 +13,6 @@ from .adversary import (
     eve_infer_keys,
     general_attack_hooks,
     intercept_resend_hooks,
-    make_ancilla_pair,
     pns_build,
 )
 from .harness import (

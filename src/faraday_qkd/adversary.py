@@ -11,12 +11,13 @@ invariant and the ancilla bookkeeping stays aligned leg to leg.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import batch as _batch
-from .batch import make_ancilla_pair
+from . import qstate as _qstate
 from .protocol import (
     LEG_C_TO_ALICE,
     LEG_C_TO_BOB,
@@ -27,9 +28,7 @@ from .protocol import (
 from .qstate import (
     EquatorAngle,
     StateVector,
-    append_qubit,
-    apply_controlled_unitary,
-    apply_1q_unitary,
+    append_controlled,
     apply_qfr,
     basis_rotation,
     equator_ket,
@@ -37,6 +36,11 @@ from .qstate import (
     product_state,
     reduced_density,
 )
+
+# kept only because perfbench/spans.py wraps them by name
+append_qubit = _qstate.append_qubit
+apply_1q_unitary = _qstate.apply_1q_unitary
+apply_controlled_unitary = _qstate.apply_controlled_unitary
 
 
 @dataclass(frozen=True)
@@ -62,18 +66,14 @@ class GeneralAttackSpec:
 
 
 def _attack_hook(leg: str, travel: int, basis_angle: float, c: float) -> ChannelHook:
+    """The entangler on one leg: a fresh ancilla stays |0> where the travel
+    qubit is |basis_angle> and becomes (c, sqrt(1 - c^2)), the column of R_y
+    that makes overlap c with |0>, where it is |basis_angle + pi>."""
     v = basis_rotation(basis_angle)
-    vh = v.conj().T
-    # R_y rotates the fresh ancilla |0> onto the pair's second ket
-    _, (c0, s0) = make_ancilla_pair(c)
-    ry = np.array([[c0, -s0], [s0, c0]])
+    ket = (c, math.sqrt(max(0.0, 1.0 - c * c)))
 
     def transform(state: StateVector, rng) -> StateVector:
-        state = append_qubit(state)
-        anc = state.num_qubits - 1
-        state = apply_1q_unitary(state, travel, vh)
-        state = apply_controlled_unitary(state, travel, anc, ry)
-        return apply_1q_unitary(state, travel, v)
+        return append_controlled(state, travel, v, ket)
 
     return ChannelHook(leg, transform)
 

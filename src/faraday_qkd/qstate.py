@@ -9,12 +9,16 @@ Conventions (fixed repo-wide):
 
 A gate or measurement on qubit q works on the view
 ``amplitudes.reshape(-1, 2, 1 << q)``: axis 1 is qubit q, axis 0 the qubits
-above it and axis 2 those below, so a 2x2 operator acts with one batched
-``matmul`` (hi products of 2 x 2 by 2 x lo).  The QFR phase diagonal of each
-(register size, control, target) and the control-bit mask of each (register
-size, control) are built once and cached read-only.  A measurement weighs
-both outcomes with one ``vdot`` each and draws against their sum, so an
-outcome of weight 0 is never drawn.
+above it and axis 2 those below.  A general 2x2 gate is one batched
+``matmul`` (hi products of 2 x 2 by 2 x lo, one tiny product per leading
+index), so the two operations an attacked round runs most are elementwise:
+``append_controlled`` (Eve's probe) writes psi (x) |0> + (P1 psi) (x)
+(ket - |0>) as one new register from the row r1 = <b1|psi>, and
+``measure_equator`` forms its rows a0 +- e^{-i phi} a1.  One collapse helper,
+shared with ``measure_z``, weighs both rows with one ``vdot`` each and draws
+against their sum, so an outcome of weight 0 is never drawn.  The QFR phase
+diagonal of each (register size, control, target) and the control-bit mask
+of each (register size, control) are built once and cached read-only.
 
 The protocol's registers hold 16 to 1,024 amplitudes, so a primitive's cost
 is its count of numpy calls, not its arithmetic: ``StateVector``
@@ -149,12 +153,30 @@ def apply_qfr(s: StateVector, control: int, target: int) -> StateVector:
     return StateVector(s.num_qubits, s.amplitudes * _qfr_phases(s.num_qubits, control, target))
 
 
-def append_qubit(s: StateVector, ket=None) -> StateVector:
+_KET_0 = np.array([1.0, 0.0], dtype=np.complex128)
+_KET_0.flags.writeable = False
+
+
+def append_qubit(s: StateVector, ket=_KET_0) -> StateVector:
     """Enlarge the register with one qubit (index num_qubits) in state ket."""
-    if ket is None:
-        ket = np.array([1.0, 0.0])
     vec = ket.amplitudes if isinstance(ket, StateVector) else np.asarray(ket, dtype=np.complex128)
     return StateVector(s.num_qubits + 1, np.multiply.outer(vec, s.amplitudes).ravel())
+
+
+def append_controlled(s: StateVector, control: int, basis: np.ndarray, ket) -> StateVector:
+    """Enlarge the register with one qubit (index num_qubits) that is |0> where
+    qubit ``control`` is in ``basis``'s column 0 and ``ket`` where it is in
+    column 1: psi (x) |0> + (P1 psi) (x) (ket - |0>), P1 the projector onto
+    column 1.  ``basis`` is a 2 x 2 unitary, ``ket`` a normalized 2-vector."""
+    a = _view(s, control)
+    b0, b1 = basis[:, 1].tolist()
+    k0, k1 = ket
+    r1 = b0.conjugate() * a[:, 0] + b1.conjugate() * a[:, 1]     # <b1|psi>, (hi, lo)
+    # (new qubit, hi, control, lo): (ket - |0>) (x) b1 times r1, then psi on |0>
+    coef = np.array([[(k0 - 1) * b0, (k0 - 1) * b1], [k1 * b0, k1 * b1]])
+    out = coef.reshape(2, 1, 2, 1) * r1[:, None, :]
+    out[0] += a
+    return StateVector(s.num_qubits + 1, out.reshape(-1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,13 +197,14 @@ def apply_controlled_unitary(s: StateVector, control: int, target: int,
                                               (u @ _view(s, target)).ravel(), s.amplitudes))
 
 
-def _measure(s: StateVector, r: np.ndarray, v: np.ndarray, rng):
+def _collapse(s: StateVector, r0: np.ndarray, r1: np.ndarray, v: np.ndarray, rng):
     """Measure in the orthonormal basis of v's columns (outcome +1 is column 0),
-    given r = v^dagger @ view: collapse r, then put the kept row back on its column.
+    given the rows r_k = f <v_k|psi> along the measured qubit, (hi, lo), with
+    one factor f > 0 for both: draw a bit, then put the kept row back on its
+    column.
 
     Both rows' weights are summed, so an outcome of weight 0 is never drawn
     (even at a draw of 1 - 2**-53) and the kept row is scaled by its own norm."""
-    r0, r1 = r[:, 0, :], r[:, 1, :]
     w0, w1 = np.vdot(r0, r0).real, np.vdot(r1, r1).real
     bit = 0 if rng.random() * (w0 + w1) < w0 else 1
     kept = (r1 if bit else r0) / math.sqrt(w1 if bit else w0)
@@ -190,7 +213,8 @@ def _measure(s: StateVector, r: np.ndarray, v: np.ndarray, rng):
 
 def measure_z(s: StateVector, q: int, rng):
     """Projective sigma^z measurement; returns (outcome in {+1,-1}, collapsed)."""
-    return _measure(s, _view(s, q), _IDENTITY, rng)
+    a = _view(s, q)
+    return _collapse(s, a[:, 0], a[:, 1], _IDENTITY, rng)
 
 
 def measure_equator(s: StateVector, q: int, phi, rng):
@@ -199,8 +223,9 @@ def measure_equator(s: StateVector, q: int, phi, rng):
     Outcome +1 collapses qubit q onto |phi>, -1 onto |phi+pi> (the eigenstates
     of cos(phi) sigma^x + sin(phi) sigma^y).
     """
-    v = basis_rotation(phi)
-    return _measure(s, v.conj().T @ _view(s, q), v, rng)
+    a = _view(s, q)
+    t = a[:, 1] * cmath.exp(-1j * float(phi))
+    return _collapse(s, a[:, 0] + t, a[:, 0] - t, basis_rotation(phi), rng)
 
 
 @dataclass
@@ -214,7 +239,7 @@ class DensityMatrix:
         self.entries = np.asarray(self.entries, dtype=np.complex128)
         if self.entries.shape != (self.dim, self.dim):
             raise ValueError("entries shape does not match dim")
-        if np.max(np.abs(self.entries - self.entries.conj().T)) > 1e-10:
+        if np.abs(self.entries - self.entries.conj().T).max() > 1e-10:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(self.entries).real - 1.0) > 1e-10:
             raise ValueError("density matrix trace differs from 1")

@@ -39,6 +39,20 @@ def kron_le(factors):
     return out
 
 
+def controlled_append(psi, n, control, basis, ket):
+    """The n-qubit ket psi with one qubit appended above it, as the dense sum
+    over k of P_k (x) |a_k>: P_k the projector onto column k of ``basis`` on
+    qubit ``control``, a_0 = |0> and a_1 = ``ket``.  Each term is a kron_le of
+    2x2 identities, the projector and the 2x1 column a_k."""
+    out = np.zeros(2 ** (n + 1), dtype=complex)
+    for k, anc in ((0, UP), (1, np.asarray(ket, dtype=complex))):
+        col = np.asarray(basis, dtype=complex)[:, k]
+        proj = np.outer(col, col.conj())
+        ops = [proj if q == control else np.eye(2) for q in range(n)] + [anc[:, None]]
+        out += kron_le(ops) @ np.asarray(psi, dtype=complex)
+    return out
+
+
 def partial_trace(psi, n, keep):
     """Reduced density matrix of the n-qubit ket psi on the qubits in keep.
 

@@ -106,6 +106,27 @@ class TestHooks:
         want = kron_le([state_eq6(alpha, beta), [1, 0], [1, 0], [1, 0], [1, 0]])
         assert fid(box[-1].amplitudes, want) >= 1 - 1e-10
 
+    @pytest.mark.parametrize("gamma, cx, cy", [(0.8, 0.37, 0.62), (2.9, 0.0, 1.0),
+                                               (5.1, 1.0, 0.0), (0.0, 0.45, 0.45)])
+    def test_each_probe_matches_three_gates(self, gamma, cx, cy):
+        # the gate sequence the probe stands for: a fresh ancilla |0>, V^dagger
+        # on the travel qubit, R_y on the ancilla where it is |1>, then V
+        legs = [(proto.LEG_C_TO_BOB, 2, gamma, cx), (proto.LEG_C_TO_ALICE, 2, gamma + np.pi / 2, cy),
+                (proto.LEG_D_TO_ALICE, 3, gamma, cx), (proto.LEG_D_TO_BOB, 3, gamma + np.pi / 2, cy)]
+        for n, (hook, (leg, travel, angle, c)) in enumerate(
+                zip(general_attack_hooks(spec_of(gamma, cx, cy)), legs), start=4):
+            assert hook.leg == leg
+            v, s = qs.basis_rotation(angle), np.sqrt(1.0 - c * c)
+            psi = RNG.normal(size=2 ** n) + 1j * RNG.normal(size=2 ** n)
+            state = qs.StateVector(n, psi / np.linalg.norm(psi))
+            want = qs.append_qubit(state)
+            want = qs.apply_1q_unitary(want, travel, v.conj().T)
+            want = qs.apply_controlled_unitary(want, travel, n, np.array([[c, -s], [s, c]]))
+            want = qs.apply_1q_unitary(want, travel, v)
+            got = hook.transform(state, None)
+            assert got.num_qubits == n + 1
+            assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-14
+
     def test_final_state_matches_closed_form(self):
         # the sextet expansion is exact, unbalanced overlaps included
         for _ in range(10):

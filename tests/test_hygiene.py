@@ -4,9 +4,10 @@ Every top-level name of the package, public or private, is read by the
 package or by the benchmark, not only by the tests: code that only tests
 read is a second path to keep in step.  The scalar reference engine imports
 nothing of the batch code it checks.  Every module-level numpy array of the
-package is read-only."""
+package is read-only.  Every name the benchmark's tracer wraps exists."""
 import ast
 import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -143,3 +144,20 @@ def test_module_arrays_are_read_only(path):
     arrays = [(name, arr) for key, value in vars(module).items()
               for name, arr in arrays_in(value, key)]
     assert [name for name, arr in arrays if arr.flags.writeable] == []
+
+
+# perfbench/spans.py wraps package functions by attribute name; a name that a
+# refactor drops would otherwise fail only deep inside a traced benchmark run
+def test_benchmark_tracer_installs():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = [importlib.import_module(f"faraday_qkd.{name}") for name in
+               ("harness", "batch", "adversary", "protocol", "qstate", "analysis")]
+    before = [dict(vars(module)) for module in modules]
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, *modules)
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(module)) for module in modules] == before

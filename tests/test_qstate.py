@@ -4,7 +4,7 @@ import pytest
 
 from faraday_qkd import qstate as qs
 
-from oracles import eq_ket, fid, kron_le, partial_trace
+from oracles import controlled_append, eq_ket, fid, kron_le, partial_trace
 
 RNG = np.random.default_rng(20240811)
 
@@ -444,6 +444,15 @@ class TestDenseOracle:
             assert got.num_qubits == n
             assert np.max(np.abs(got.amplitudes - want)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_append_controlled(self, n):
+        for control in range(n):
+            s, basis, ket = rand_state(n), rand_unitary(), rand_state(1).amplitudes
+            got = qs.append_controlled(s, control, basis, ket)
+            assert got.num_qubits == n + 1
+            want = controlled_append(s.amplitudes, n, control, basis, ket)
+            assert np.max(np.abs(got.amplitudes - want)) < 1e-14
+
     @pytest.mark.parametrize("n", SIZES)
     def test_measurements_collapse_onto_projector(self, n):
         for q in range(n):
@@ -475,6 +484,9 @@ class TestFreshResult:
             s, 2, 0, qs.basis_rotation(1.1)),
         "apply_qfr": lambda s: qs.apply_qfr(s, 0, 2),
         "append_qubit": lambda s: qs.append_qubit(s, qs.make_equator_state(0.4)),
+        "append_qubit_zero": lambda s: qs.append_qubit(s),
+        "append_controlled": lambda s: qs.append_controlled(s, 1, qs.basis_rotation(0.7),
+                                                             (0.6, 0.8)),
         "product_state": lambda s: qs.product_state([s]),
         "product_state_pair": lambda s: qs.product_state([qs.make_equator_state(0.2), s]),
         "measure_z+": lambda s: qs.measure_z(s, 1, Draw(0.0))[1],
