@@ -23,6 +23,8 @@ from .protocol import (
     LEG_C_TO_BOB,
     LEG_D_TO_ALICE,
     LEG_D_TO_BOB,
+    QUBIT_C,
+    QUBIT_D,
     ChannelHook,
 )
 from .qstate import (
@@ -65,6 +67,13 @@ class GeneralAttackSpec:
                 raise ValueError("ancilla overlaps must lie in [0, 1]")
 
 
+# Eve's four legs in firing order as (leg, travel qubit, pass): pass 0 is
+# the first pass, in Eve's basis, and pass 1 the return pass, whose basis
+# turns a quarter turn with the far station's QFR
+_EVE_LEGS = ((LEG_C_TO_BOB, QUBIT_C, 0), (LEG_C_TO_ALICE, QUBIT_C, 1),
+             (LEG_D_TO_ALICE, QUBIT_D, 0), (LEG_D_TO_BOB, QUBIT_D, 1))
+
+
 def _attack_hook(leg: str, travel: int, basis_angle: float, c: float) -> ChannelHook:
     """The entangler on one leg: a fresh ancilla stays |0> where the travel
     qubit is |basis_angle> and becomes (c, sqrt(1 - c^2)), the column of R_y
@@ -81,12 +90,9 @@ def _attack_hook(leg: str, travel: int, basis_angle: float, c: float) -> Channel
 def general_attack_hooks(spec: GeneralAttackSpec):
     """Four channel hooks appending ancillae E, F, E', F' in firing order."""
     g = float(spec.gamma)
-    return [
-        _attack_hook(LEG_C_TO_BOB, 2, g, spec.overlap_c_x),
-        _attack_hook(LEG_C_TO_ALICE, 2, g + np.pi / 2, spec.overlap_c_y),
-        _attack_hook(LEG_D_TO_ALICE, 3, g, spec.overlap_c_x),
-        _attack_hook(LEG_D_TO_BOB, 3, g + np.pi / 2, spec.overlap_c_y),
-    ]
+    overlaps = (spec.overlap_c_x, spec.overlap_c_y)
+    return [_attack_hook(leg, travel, g + p * np.pi / 2, overlaps[p])
+            for leg, travel, p in _EVE_LEGS]
 
 
 def intercept_resend_hooks(gamma):
@@ -108,8 +114,7 @@ def intercept_resend_hooks(gamma):
             return collapsed
         return ChannelHook(leg, transform)
 
-    return [make(LEG_C_TO_BOB, 2, g), make(LEG_C_TO_ALICE, 2, g + np.pi / 2),
-            make(LEG_D_TO_ALICE, 3, g), make(LEG_D_TO_BOB, 3, g + np.pi / 2)]
+    return [make(leg, travel, g + p * np.pi / 2) for leg, travel, p in _EVE_LEGS]
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +175,6 @@ def _prepared_state(kind: str, **angles) -> StateVector:
 # Photon-number-splitting attacks
 # ---------------------------------------------------------------------------
 
-def _pns_kind(variant: str) -> str:
-    if variant not in _batch.PNS_KINDS:
-        raise ValueError(f"unknown PNS variant {variant!r}")
-    return _batch.PNS_KINDS[variant]
-
-
 @dataclass
 class PnsScenario:
     """One fully built photon-splitting scenario at fixed angles."""
@@ -192,6 +191,6 @@ def pns_build(variant: str, alpha, beta) -> PnsScenario:
     outbound channel (one station's rotations only), E2 on the return channel
     (both stations).  Bob's pulse mirrors this with D, E1', E2' at beta.
     """
-    kind = _pns_kind(variant)
+    kind = _batch._pns_kind(variant)
     return PnsScenario(_batch.SCENARIOS[kind].layout,
                        _prepared_state(kind, alpha=alpha, beta=beta))

@@ -607,7 +607,14 @@ def one_home_rounds(u):
 
 def pns_rounds(variant, u):
     """Photon-splitting rounds of ``PNS_KINDS[variant]``."""
-    return protocol_rounds(u, {"kind": PNS_KINDS[variant]})
+    return protocol_rounds(u, {"kind": _pns_kind(variant)})
 
 
 PNS_KINDS = {"three-photon": "pns:3", "four-home-qubit": "pns:4home"}
+
+
+def _pns_kind(variant: str) -> str:
+    """The scenario of a PNS variant name; ValueError for an unknown one."""
+    if variant not in PNS_KINDS:
+        raise ValueError(f"unknown PNS variant {variant!r}")
+    return PNS_KINDS[variant]

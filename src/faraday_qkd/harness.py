@@ -36,7 +36,7 @@ import os
 import sys
 import time
 from collections.abc import Mapping
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -463,12 +463,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     chunks = [(params, cfg.master_seed, lo, min(CHUNK_ROUNDS, n - lo), t)
               for lo, t in zip(starts, tested)]
     # the fork start method launches every worker up front
-    workers = min(cfg.workers, len(chunks))
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        results = pool.map(_run_chunk, chunks) if pool else map(_run_chunk, chunks)
+    workers = min(cfg.workers, len(chunks), os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            from concurrent.futures.process import ProcessPoolExecutor
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        results = run(_run_chunk, chunks)
         if cfg.output_path:
             kept = []
             write_csv(cfg.output_path, _blocks(results, kept))
@@ -546,7 +547,12 @@ def solve_report() -> str:
 # configuration files and CLI
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"rounds", "test_bits", "seed", "attack", "out", "workers"}
+# simulate's settings in resolution order: each config key, which is also its
+# flag's dest, to its type and its default (_REQUIRED: the run needs it)
+_REQUIRED = object()
+_SETTINGS = {"rounds": (int, _REQUIRED), "test_bits": (int, 0), "seed": (int, _REQUIRED),
+             "attack": (parse_attack, AttackChoice("none")), "out": (str, None),
+             "workers": (int, 1)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -562,7 +568,7 @@ def parse_config_file(path: str) -> dict:
                     raise CliError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _SETTINGS:
                     raise CliError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val
     except OSError as exc:
@@ -570,18 +576,6 @@ def parse_config_file(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     return values
-
-
-def _resolve_workers(cli_value) -> int:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("FARADAY_QKD_WORKERS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise CliError(f"bad FARADAY_QKD_WORKERS value {env!r}") from exc
-    return 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -619,30 +613,29 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    base = {}
-    if args.config:
-        base = parse_config_file(args.config)
-    def pick(flag, key, cast, default=None):
-        if flag is not None:
-            return flag
-        if key in base:
-            try:
-                return cast(base[key])
-            except ValueError as exc:
-                raise CliError(f"bad config value for {key}: {exc}") from exc
-        return default
-    rounds = pick(args.rounds, "rounds", int)
-    if rounds is None:
-        raise CliError("rounds not given (flag --rounds or config)")
-    test_bits = pick(args.test_bits, "test_bits", int, 0)
-    seed = pick(args.seed, "seed", int)
-    if seed is None:
-        raise CliError("seed not given (flag --seed or config)")
-    attack = parse_attack(pick(args.attack, "attack", str, "none"))
-    out = pick(args.out, "out", str, None)
-    workers = _resolve_workers(pick(args.workers, "workers", int))
-    return ExperimentConfig(rounds=rounds, test_bits=test_bits, master_seed=seed,
-                            attack=attack, output_path=out, workers=workers)
+    """Each of ``_SETTINGS`` in turn: its flag, else its config value, else
+    FARADAY_QKD_WORKERS (workers only), else its default.  A flag comes typed
+    by argparse or as text that only ``parse_attack`` reads, which raises
+    CliError, so a ValueError is the config's or the environment's."""
+    base = parse_config_file(args.config) if args.config else {}
+    env = os.environ.get("FARADAY_QKD_WORKERS")
+    got = {}
+    for key, (cast, default) in _SETTINGS.items():
+        value, in_file = getattr(args, key), False
+        if value is None and key in base:
+            value, in_file = base[key], True
+        elif value is None and key == "workers" and env:
+            value = env
+        elif value is None and default is _REQUIRED:
+            raise CliError(f"{key} not given (flag --{key} or config)")
+        try:
+            got[key] = default if value is None else cast(value)
+        except ValueError as exc:
+            raise CliError(f"bad config value for {key}: {exc}" if in_file
+                           else f"bad FARADAY_QKD_WORKERS value {env!r}") from exc
+    return ExperimentConfig(rounds=got["rounds"], test_bits=got["test_bits"],
+                            master_seed=got["seed"], attack=got["attack"],
+                            output_path=got["out"], workers=got["workers"])
 
 
 def main(argv=None) -> int:
@@ -664,7 +657,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:
         print(f"error: a worker process died ({exc})", file=sys.stderr)
         return 2
 

@@ -760,6 +760,18 @@ def test_wrappers_match_protocol_rounds(kind, variant):
         assert got[name].dtype == col.dtype and got[name].tobytes() == col.tobytes(), name
 
 
+@pytest.mark.parametrize("variant", ["bogus", "pns:3", ""])
+def test_unknown_pns_variant_is_one_value_error(variant):
+    """The batch and scalar PNS entry points read one variant lookup: an
+    unknown name raises the same ValueError from both."""
+    u = harness.round_uniforms(41, 0, 4, batch.SCENARIOS["pns:3"].draws)
+    with pytest.raises(ValueError) as batch_error:
+        batch.pns_rounds(variant, u)
+    with pytest.raises(ValueError) as scalar_error:
+        adversary.pns_build(variant, 0.1, 0.2)
+    assert str(batch_error.value) == str(scalar_error.value) == f"unknown PNS variant {variant!r}"
+
+
 @pytest.mark.parametrize("name", ["alpha", "out_c", "k_alice_odd"])
 def test_rounds_form_each_column_once(name):
     """A ``Rounds`` column is formed on its first read and kept: a second

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import process as futures_process
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -80,6 +81,91 @@ class TestConfig:
         cfg.write_text("rounds = 10\nseed 5\n", encoding="utf-8")
         with pytest.raises(CliError, match=r":2: expected 'key = value'"):
             harness.parse_config_file(str(cfg))
+
+
+def _simulate_config(tmp_path, file_text, argv=(), workers_flag=()):
+    """The ExperimentConfig that ``simulate`` resolves from ``argv`` (the
+    global ``workers_flag`` before the command) and a config file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(file_text, encoding="utf-8")
+    args = harness._build_parser().parse_args(
+        [*workers_flag, "simulate", "--config", str(cfg), *argv])
+    return harness._config_from_args(args)
+
+
+class TestSettingsPrecedence:
+    """Each of ``simulate``'s six settings is its flag, else its config value,
+    else (workers only) FARADAY_QKD_WORKERS, else its default; settings
+    resolve, and report their first error, in the order rounds, test_bits,
+    seed, attack, out, workers, before the config is validated."""
+
+    # key, ExperimentConfig field, flag argv, flag value, config text, config
+    # value, default (None for rounds and seed: required, and out: no CSV)
+    CASES = [
+        ("rounds", "rounds", ["--rounds", "300"], 300, "200", 200, None),
+        ("test_bits", "test_bits", ["--test-bits", "7"], 7, "9", 9, 0),
+        ("seed", "master_seed", ["--seed", "11"], 11, "12", 12, None),
+        ("attack", "attack", ["--attack", "intercept:0.3"], AttackChoice("intercept", gamma=0.3),
+         "pns:3", AttackChoice("pns:3"), AttackChoice("none")),
+        ("out", "output_path", ["--out", "a.csv"], "a.csv", "b.csv", "b.csv", None),
+        ("workers", "workers", ["--workers", "3"], 3, "4", 4, 1),
+    ]
+
+    @pytest.mark.parametrize("key, field, flag, flag_value, text, text_value, default", CASES)
+    def test_flag_over_config_over_default(self, key, field, flag, flag_value, text,
+                                           text_value, default, tmp_path, monkeypatch):
+        monkeypatch.delenv("FARADAY_QKD_WORKERS", raising=False)
+        required = "".join(f"{k} = 50\n" for k in ("rounds", "seed") if k != key)
+        split = {"workers_flag": flag} if key == "workers" else {"argv": flag}
+        both = _simulate_config(tmp_path, f"{required}{key} = {text}\n", **split)
+        assert getattr(both, field) == flag_value
+        assert getattr(_simulate_config(tmp_path, f"{required}{key} = {text}\n"),
+                       field) == text_value
+        if key in ("rounds", "seed"):
+            with pytest.raises(CliError, match=f"^{key} not given \\(flag --{key} or config\\)$"):
+                _simulate_config(tmp_path, required)
+        else:
+            assert getattr(_simulate_config(tmp_path, required), field) == default
+
+    def test_flags_never_read_a_bad_config_value(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FARADAY_QKD_WORKERS", "many")
+        cfg = _simulate_config(
+            tmp_path, "rounds = x\ntest_bits = x\nseed = x\nattack = bogus\nworkers = x\n",
+            ["--rounds", "40", "--test-bits", "2", "--seed", "8", "--attack", "none"],
+            ["--workers", "2"])
+        assert (cfg.rounds, cfg.test_bits, cfg.master_seed, cfg.workers) == (40, 2, 8, 2)
+
+    @pytest.mark.parametrize("flag, text, env, workers", [
+        ([], "workers = 4\n", "6", 4), (["--workers", "3"], "", "6", 3), ([], "", "6", 6),
+        ([], "workers = 4\n", "many", 4), ([], "", "", 1)])
+    def test_workers_config_over_environment(self, flag, text, env, workers, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setenv("FARADAY_QKD_WORKERS", env)
+        cfg = _simulate_config(tmp_path, f"rounds = 10\nseed = 1\n{text}", workers_flag=flag)
+        assert cfg.workers == workers
+
+    @pytest.mark.parametrize("text, argv, env, message", [
+        ("rounds = 10\nseed = 1\nattack = bogus\n", [], "many", "unknown attack spec 'bogus'"),
+        ("rounds = 10\nseed = 1\nworkers = two\n", [], "many", "bad config value for workers"),
+        ("rounds = x\n", [], "many", "bad config value for rounds"),
+        ("attack = bogus\n", [], None, "rounds not given"),
+        ("rounds = 10\ntest_bits = x\n", [], None, "bad config value for test_bits"),
+        ("rounds = 10\nattack = bogus\n", [], None, "seed not given"),
+        ("rounds = 10\nseed = x\nattack = bogus\n", [], None, "bad config value for seed"),
+        ("rounds = 0\nseed = 1\n", ["--attack", "bogus"], None, "unknown attack spec"),
+        ("rounds = 0\nseed = 1\n", [], "many", "bad FARADAY_QKD_WORKERS value 'many'"),
+        ("rounds = 0\nseed = 1\ntest_bits = 5\n", [], "0", "rounds must satisfy"),
+        ("rounds = 10\nseed = 1\ntest_bits = 11\n", [], "0", "test bits must satisfy")])
+    def test_first_error_in_resolution_order(self, text, argv, env, message, tmp_path,
+                                             monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("FARADAY_QKD_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("FARADAY_QKD_WORKERS", env)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert harness.main(["simulate", "--config", str(cfg), *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1, 2**64 - 0x9E3779B97F4A7C15])
@@ -632,12 +718,12 @@ def test_two_workers_write_the_bytes_of_one(tmp_path, monkeypatch):
     three-chunk run."""
     made = []
 
-    class Pool(harness.ProcessPoolExecutor):
+    class Pool(futures_process.ProcessPoolExecutor):
         def __init__(self, max_workers):
             made.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(futures_process, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     out = []
     for workers in (1, 2):
@@ -807,7 +893,7 @@ class TestCli:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(futures_process, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         run_experiment(ExperimentConfig(rounds=rounds, test_bits=0, master_seed=6,
                                         workers=workers))
@@ -862,7 +948,7 @@ class TestCli:
             def map(self, fn, items):
                 raise BrokenProcessPool("a child process terminated abruptly")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(futures_process, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         rc = harness.main(["--workers", "2", "simulate", "--rounds", str(2 * harness.CHUNK_ROUNDS),
                            "--seed", "3"])

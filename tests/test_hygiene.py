@@ -4,10 +4,14 @@ Every top-level name of the package, public or private, is read by the
 package or by the benchmark, not only by the tests: code that only tests
 read is a second path to keep in step.  The scalar reference engine imports
 nothing of the batch code it checks.  Every module-level numpy array of the
-package is read-only.  Every name the benchmark's tracer wraps exists."""
+package is read-only.  Every name the benchmark's tracer wraps exists.  A process
+that starts no pool imports no process-pool machinery."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -161,3 +165,24 @@ def test_benchmark_tracer_installs():
     finally:
         tracer.uninstall()
     assert [dict(vars(module)) for module in modules] == before
+
+
+# only a run with more than one worker starts a process pool, so only it
+# pays for importing multiprocessing and concurrent.futures.process
+def test_one_worker_run_imports_no_process_pool(tmp_path):
+    code = """if True:
+        import json, sys
+        pool = ("multiprocessing", "concurrent.futures.process")
+        import faraday_qkd
+        loaded = [m for m in pool if m in sys.modules]
+        from faraday_qkd import harness
+        rc = harness.main(["--workers", "1", "simulate", "--rounds", "20000", "--seed", "3",
+                           "--test-bits", "50", "--out", sys.argv[1]])
+        print(json.dumps([loaded, [m for m in pool if m in sys.modules], rc]))
+    """
+    env = {k: v for k, v in os.environ.items() if k != "FARADAY_QKD_WORKERS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], 0]
